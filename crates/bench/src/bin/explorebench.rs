@@ -178,7 +178,7 @@ fn run() -> Result<(), String> {
     // store runs zero additional artifact-pipeline spans.
     let warm_outcome = run_sweep(&plan, &provider, &cells, |_, _| {}).map_err(|e| e.to_string())?;
     let warm_spans = session.recorder().stage_durations();
-    for stage in ["assemble", "analyze", "trace", "ciip", "wcet"] {
+    for stage in ["assemble", "analyze", "trace", "ciip", "skyline"] {
         let (cold, warm) = (span_count(&cold_spans, stage), span_count(&warm_spans, stage));
         if warm != cold {
             return Err(format!("warm re-sweep re-ran stage {stage}: {cold} -> {warm} spans"));

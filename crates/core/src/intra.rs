@@ -22,13 +22,14 @@
 //!   entries. It over-approximates the exact sweep and is kept for
 //!   fidelity to \[21\] and for tightness ablations.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtcache::{CacheGeometry, CacheSim, Ciip, MemoryBlock, PackedFootprint, SetIndex};
 use rtprogram::cfg::{BlockId, Cfg};
 use rtprogram::sim::Trace;
-use rtprogram::Program;
+use rtprogram::{ExecError, InputVariant, Program};
 
 use crate::AnalysisError;
 
@@ -40,7 +41,7 @@ static SKYLINE_KEPT: AtomicU64 = AtomicU64::new(0);
 static SKYLINE_PRUNED: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide `(kept, pruned)` totals over every useful-trace skyline
-/// built since startup (the `ciip_pack` stage). Monotonic counters for
+/// built since startup (the `skyline` stage). Monotonic counters for
 /// metrics exposition; never read back by the analysis itself.
 pub fn skyline_stats() -> (u64, u64) {
     (SKYLINE_KEPT.load(Ordering::Relaxed), SKYLINE_PRUNED.load(Ordering::Relaxed))
@@ -76,11 +77,198 @@ pub struct UsefulTrace {
     geometry: CacheGeometry,
     /// `(block, next-run-is-hit)` per access, in program order.
     accesses: Vec<(MemoryBlock, bool)>,
+    /// `max_t Σ_r min(|useful_r(t)|, L)`, Approach 3's per-path count,
+    /// recorded by the construction sweep whatever the geometry.
+    line_bound: usize,
     /// Dominance-pruned packed vectors for the fast Eq. 3 maximum;
     /// `None` when the geometry does not pack (`L > 255`) or the trace
     /// blew the skyline size caps — callers fall back to the exact
-    /// sweep. A deterministic function of `(geometry, accesses)`.
+    /// sweep. Like `line_bound`, a deterministic function of
+    /// `(geometry, accesses)`.
     skyline: Option<Skyline>,
+}
+
+/// One feasible path simulated once: the ISS streams every access into a
+/// cold-cache classifier, so the useful-block trace, the path footprint
+/// and the counts behind the path's cold-cache cycle count
+/// (`instructions·cpi + misses·Cmiss`) all come from the same pass.
+#[derive(Debug, Clone)]
+pub struct PathRun {
+    /// The classified trace.
+    pub trace: UsefulTrace,
+    /// The path footprint (`M^k`), built from its distinct blocks.
+    pub blocks: Ciip,
+    /// Instructions executed.
+    pub instructions: u64,
+    /// Cold-cache misses.
+    pub misses: u64,
+}
+
+/// Multiplicative hasher for block numbers. Dense ids are handed out in
+/// first-access order, so the hasher decides speed only, never a byte of
+/// an artifact.
+#[derive(Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+/// A trace's distinct blocks numbered densely in first-access order, so
+/// the backward sweep can keep per-block state in a flat vector.
+struct DenseBlocks {
+    /// `ids[i]` is the dense id of access `i`'s block.
+    ids: Vec<u32>,
+    /// The distinct blocks, indexed by dense id.
+    blocks: Vec<MemoryBlock>,
+}
+
+impl DenseBlocks {
+    fn of(accesses: &[(MemoryBlock, bool)]) -> Self {
+        let mut index: HashMap<MemoryBlock, u32, BuildHasherDefault<BlockHasher>> =
+            HashMap::default();
+        let mut blocks = Vec::new();
+        let ids = accesses
+            .iter()
+            .map(|(block, _)| {
+                *index.entry(*block).or_insert_with(|| {
+                    blocks.push(*block);
+                    (blocks.len() - 1) as u32
+                })
+            })
+            .collect();
+        DenseBlocks { ids, blocks }
+    }
+}
+
+/// Incremental skyline construction, fed the saturated per-set changes
+/// of the backward sweep.
+///
+/// Only "peaks" — vectors about to lose a line, plus the final state —
+/// are candidates: between two peaks the vector only grows, so every
+/// interior point is dominated by the peak that follows it in sweep
+/// order. Each candidate is then checked against the retained front
+/// (with a line-bound-sum prefilter) and dominated retained points are
+/// evicted in turn.
+struct SkylineBuilder {
+    geometry: CacheGeometry,
+    /// The saturated useful-count vector at the current sweep position.
+    current: Vec<u8>,
+    /// `true` while `current` has grown since the last emitted peak.
+    dirty: bool,
+    candidates: usize,
+    points: Vec<PackedFootprint>,
+    /// Line bounds of `points`, kept alongside as the cheap dominance
+    /// prefilter (element-wise dominance implies sum dominance).
+    sums: Vec<usize>,
+}
+
+impl SkylineBuilder {
+    /// `None` when the geometry's way count does not fit a byte.
+    fn new(geometry: CacheGeometry) -> Option<Self> {
+        (geometry.ways() <= 255).then(|| SkylineBuilder {
+            geometry,
+            current: vec![0u8; geometry.sets() as usize],
+            dirty: false,
+            candidates: 0,
+            points: Vec::new(),
+            sums: Vec::new(),
+        })
+    }
+
+    /// Applies one saturated set change; `sum` is the line bound of
+    /// `current` before the change. Returns `false` once the build blew
+    /// a size cap.
+    fn step(&mut self, set: SetIndex, sold: usize, snew: usize, sum: usize) -> bool {
+        if snew > sold {
+            self.dirty = true;
+        } else if self.dirty {
+            // About to shrink a grown vector: it is a Pareto peak.
+            self.dirty = false;
+            if !self.emit(sum) {
+                return false;
+            }
+        }
+        self.current[set.as_usize()] = snew as u8;
+        true
+    }
+
+    /// Offers `current` (line bound `sum`) to the front.
+    fn emit(&mut self, sum: usize) -> bool {
+        self.candidates += 1;
+        if self.candidates > MAX_SKYLINE_CANDIDATES {
+            return false;
+        }
+        let current = &self.current;
+        let dominated = self
+            .points
+            .iter()
+            .zip(&self.sums)
+            .any(|(p, s)| *s >= sum && covers(p.counts(), current));
+        if dominated {
+            return true;
+        }
+        let mut i = 0;
+        while i < self.points.len() {
+            if self.sums[i] <= sum && covers(current, self.points[i].counts()) {
+                self.points.swap_remove(i);
+                self.sums.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        let indexed =
+            current.iter().enumerate().map(|(r, c)| (SetIndex::new(r as u32), *c as usize));
+        self.points.push(
+            PackedFootprint::from_counts(self.geometry, indexed)
+                .expect("ways checked to fit u8 in new"),
+        );
+        self.sums.push(sum);
+        self.points.len() <= MAX_SKYLINE_POINTS
+    }
+
+    /// The finished front, recorded in the pruning counters.
+    fn finish(mut self, sum: usize) -> Option<Skyline> {
+        if self.dirty && !self.emit(sum) {
+            return None;
+        }
+        let kept = self.points.len();
+        let pruned = self.candidates - kept;
+        SKYLINE_KEPT.fetch_add(kept as u64, Ordering::Relaxed);
+        SKYLINE_PRUNED.fetch_add(pruned as u64, Ordering::Relaxed);
+        if rtobs::enabled() {
+            rtobs::record_skyline_points(kept as u64, pruned as u64);
+        }
+        Some(Skyline { points: self.points, candidates: self.candidates })
+    }
+}
+
+/// `true` if `have` is element-wise `>=` `want`. Compares 32-byte
+/// chunks with no early exit inside a chunk, so the compiler can
+/// vectorize the inner loop.
+fn covers(have: &[u8], want: &[u8]) -> bool {
+    debug_assert_eq!(have.len(), want.len());
+    let mut have_chunks = have.chunks_exact(32);
+    let mut want_chunks = want.chunks_exact(32);
+    for (h, w) in (&mut have_chunks).zip(&mut want_chunks) {
+        if h.iter().zip(w).fold(false, |short, (h, w)| short | (h < w)) {
+            return false;
+        }
+    }
+    have_chunks.remainder().iter().zip(want_chunks.remainder()).all(|(h, w)| h >= w)
 }
 
 impl UsefulTrace {
@@ -99,9 +287,37 @@ impl UsefulTrace {
             })
             .collect();
         cache.flush_set_stats();
-        let mut trace = UsefulTrace { geometry, accesses, skyline: None };
-        trace.skyline = trace.build_skyline();
-        trace
+        UsefulTrace::from_accesses(geometry, accesses)
+    }
+
+    /// Runs `variant` of `program` on the ISS once, classifying each
+    /// access against a cold cache as it streams out of the simulator —
+    /// no memory trace is materialized. The trace equals
+    /// [`UsefulTrace::from_trace`] of the variant's
+    /// [`trace_variant`](rtprogram::sim::trace_variant), and the counts
+    /// give the same cycle count as `rtwcet`'s reference estimator.
+    ///
+    /// # Errors
+    ///
+    /// Returns the simulator's [`ExecError`] if the run faults or hits
+    /// the default step limit.
+    pub fn simulate(
+        program: &Program,
+        variant: &InputVariant,
+        geometry: CacheGeometry,
+    ) -> Result<PathRun, ExecError> {
+        let mut cache = CacheSim::new(geometry);
+        let mut accesses = Vec::new();
+        let mut misses = 0u64;
+        let instructions = rtprogram::sim::run_variant(program, variant, |access| {
+            let block = geometry.block_of_addr(access.addr);
+            let hit = cache.access_block(block).is_hit();
+            misses += u64::from(!hit);
+            accesses.push((block, hit));
+        })?;
+        cache.flush_set_stats();
+        let (trace, blocks) = UsefulTrace::with_footprint(geometry, accesses);
+        Ok(PathRun { trace, blocks, instructions, misses })
     }
 
     /// Rebuilds a trace from an already-classified access sequence, as
@@ -113,9 +329,53 @@ impl UsefulTrace {
     ///
     /// [`from_trace`]: UsefulTrace::from_trace
     pub fn from_accesses(geometry: CacheGeometry, accesses: Vec<(MemoryBlock, bool)>) -> Self {
-        let mut trace = UsefulTrace { geometry, accesses, skyline: None };
-        trace.skyline = trace.build_skyline();
-        trace
+        UsefulTrace::build(geometry, accesses).0
+    }
+
+    /// [`UsefulTrace::from_accesses`] plus the path footprint, built
+    /// from the distinct blocks the construction sweep numbers anyway.
+    pub(crate) fn with_footprint(
+        geometry: CacheGeometry,
+        accesses: Vec<(MemoryBlock, bool)>,
+    ) -> (Self, Ciip) {
+        let (trace, distinct) = UsefulTrace::build(geometry, accesses);
+        (trace, Ciip::from_blocks(geometry, distinct))
+    }
+
+    /// Stores `accesses` at exact capacity and runs the construction
+    /// sweep; returns the trace and its distinct blocks.
+    fn build(
+        geometry: CacheGeometry,
+        mut accesses: Vec<(MemoryBlock, bool)>,
+    ) -> (Self, Vec<MemoryBlock>) {
+        accesses.shrink_to_fit();
+        let dense = DenseBlocks::of(&accesses);
+        let mut trace = UsefulTrace { geometry, accesses, line_bound: 0, skyline: None };
+        (trace.line_bound, trace.skyline) = trace.summarize(&dense);
+        (trace, dense.blocks)
+    }
+
+    /// The construction sweep: one backward pass that records the
+    /// maximum line bound and, when the geometry packs, builds the
+    /// skyline of the per-point saturated useful-count vectors.
+    fn summarize(&self, dense: &DenseBlocks) -> (usize, Option<Skyline>) {
+        let _span = rtobs::span("skyline");
+        let ways = self.geometry.ways() as usize;
+        let mut builder = SkylineBuilder::new(self.geometry);
+        let mut sum = 0usize;
+        let mut best = 0usize;
+        self.sweep_dense(dense, |_pos, set, old, new| {
+            let (sold, snew) = (old.min(ways), new.min(ways));
+            if snew == sold {
+                return;
+            }
+            if builder.as_mut().is_some_and(|b| !b.step(set, sold, snew, sum)) {
+                builder = None;
+            }
+            sum = sum + snew - sold;
+            best = best.max(sum);
+        });
+        (best, builder.and_then(|b| b.finish(sum)))
     }
 
     /// The classified access sequence: `(block, hit)` in execution
@@ -123,94 +383,6 @@ impl UsefulTrace {
     /// identity (see [`UsefulTrace::from_accesses`]).
     pub fn accesses(&self) -> &[(MemoryBlock, bool)] {
         &self.accesses
-    }
-
-    /// Builds the dominance-pruned skyline of the trace's per-point
-    /// saturated useful-count vectors in one extra backward sweep.
-    ///
-    /// Only "peaks" — vectors about to lose a line, plus the final state
-    /// — are candidates: between two peaks the vector only grows, so
-    /// every interior point is dominated by the peak that follows it in
-    /// sweep order. Each candidate is then checked against the retained
-    /// front (with a line-bound-sum prefilter) and dominated retained
-    /// points are evicted in turn.
-    fn build_skyline(&self) -> Option<Skyline> {
-        let _span = rtobs::span("ciip_pack");
-        let ways = usize::try_from(self.geometry.ways()).ok().filter(|w| *w <= 255)?;
-        let mut current = vec![0u8; self.geometry.sets() as usize];
-        let mut sum = 0usize;
-        // `true` while `current` has grown since the last emitted peak.
-        let mut dirty = false;
-        let mut candidates = 0usize;
-        let mut points: Vec<PackedFootprint> = Vec::new();
-        // Line bounds of `points`, kept alongside as the cheap dominance
-        // prefilter (element-wise dominance implies sum dominance).
-        let mut sums: Vec<usize> = Vec::new();
-        let mut overflow = false;
-        let mut emit = |current: &[u8], sum: usize, candidates: &mut usize| {
-            *candidates += 1;
-            if *candidates > MAX_SKYLINE_CANDIDATES {
-                return false;
-            }
-            let dominated = points.iter().zip(&sums).any(|(p, s)| {
-                *s >= sum && p.counts().iter().zip(current).all(|(have, new)| have >= new)
-            });
-            if dominated {
-                return true;
-            }
-            let mut i = 0;
-            while i < points.len() {
-                let beaten = sums[i] <= sum
-                    && points[i].counts().iter().zip(current).all(|(have, new)| have <= new);
-                if beaten {
-                    points.swap_remove(i);
-                    sums.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            let indexed =
-                current.iter().enumerate().map(|(r, c)| (SetIndex::new(r as u32), *c as usize));
-            points.push(
-                PackedFootprint::from_counts(self.geometry, indexed)
-                    .expect("ways checked to fit u8 above"),
-            );
-            sums.push(sum);
-            points.len() <= MAX_SKYLINE_POINTS
-        };
-        self.sweep(|_pos, set, old, new| {
-            if overflow {
-                return;
-            }
-            let sold = old.min(ways);
-            let snew = new.min(ways);
-            if snew == sold {
-                return;
-            }
-            if snew > sold {
-                dirty = true;
-            } else if dirty {
-                // About to shrink a grown vector: it is a Pareto peak.
-                overflow = !emit(&current, sum, &mut candidates);
-                dirty = false;
-            }
-            current[set.as_usize()] = snew as u8;
-            sum = sum + snew - sold;
-        });
-        if !overflow && dirty {
-            overflow = !emit(&current, sum, &mut candidates);
-        }
-        if overflow {
-            return None;
-        }
-        let kept = points.len();
-        let pruned = candidates - kept;
-        SKYLINE_KEPT.fetch_add(kept as u64, Ordering::Relaxed);
-        SKYLINE_PRUNED.fetch_add(pruned as u64, Ordering::Relaxed);
-        if rtobs::enabled() {
-            rtobs::record_skyline_points(kept as u64, pruned as u64);
-        }
-        Some(Skyline { points, candidates })
     }
 
     /// The geometry the trace was simulated under.
@@ -231,7 +403,7 @@ impl UsefulTrace {
 
     /// The distinct memory blocks of the whole trace (the task's `M`).
     pub fn all_blocks(&self) -> Ciip {
-        Ciip::from_blocks(self.geometry, self.accesses.iter().map(|(b, _)| *b))
+        Ciip::from_blocks(self.geometry, DenseBlocks::of(&self.accesses).blocks)
     }
 
     /// Runs the backward sweep, reporting `(position, set, old, new)`
@@ -239,30 +411,44 @@ impl UsefulTrace {
     /// each access position's update, at which point the maintained counts
     /// describe `useful(position)` (the state just before that access
     /// executes).
-    fn sweep(&self, mut visit: impl FnMut(usize, SetIndex, usize, usize)) {
-        // BTreeMaps, not HashMaps: everything observable about the sweep
-        // must be a pure function of the trace so that repeated analyses of
-        // one program produce byte-identical artifacts (the server memoizes
-        // and compares them across requests).
-        let mut status: BTreeMap<MemoryBlock, bool> = BTreeMap::new();
-        let mut counts: BTreeMap<SetIndex, usize> = BTreeMap::new();
-        for (pos, (block, hit)) in self.accesses.iter().enumerate().rev() {
+    fn sweep(&self, visit: impl FnMut(usize, SetIndex, usize, usize)) {
+        self.sweep_dense(&DenseBlocks::of(&self.accesses), visit);
+    }
+
+    /// [`UsefulTrace::sweep`] over precomputed dense block ids. All
+    /// state is flat vectors indexed by dense block id and set index, and
+    /// the ids follow first-access order, so everything observable is a
+    /// pure function of the trace: repeated analyses of one program
+    /// produce byte-identical artifacts (the server memoizes and compares
+    /// them across requests).
+    fn sweep_dense(
+        &self,
+        dense: &DenseBlocks,
+        mut visit: impl FnMut(usize, SetIndex, usize, usize),
+    ) {
+        let mut status = vec![false; dense.blocks.len()];
+        let mut counts = vec![0usize; self.geometry.sets() as usize];
+        for (pos, ((block, hit), id)) in self.accesses.iter().zip(&dense.ids).enumerate().rev() {
             let set = self.geometry.index_of_block(*block);
-            let was = status.insert(*block, *hit).unwrap_or(false);
+            let was = std::mem::replace(&mut status[*id as usize], *hit);
+            let count = &mut counts[set.as_usize()];
+            let old = *count;
             if was != *hit {
-                let count = counts.entry(set).or_insert(0);
-                let old = *count;
                 if *hit {
                     *count += 1;
                 } else {
                     *count -= 1;
                 }
-                visit(pos, set, old, *count);
-            } else {
-                let current = counts.get(&set).copied().unwrap_or(0);
-                visit(pos, set, current, current);
             }
+            visit(pos, set, old, *count);
         }
+    }
+
+    /// Approach 3's per-path count: the maximum over all execution points
+    /// of `Σ_r min(|useful_r|, L)`, recorded at construction. Equals
+    /// [`UsefulTrace::max_line_bound`]`.0` without a sweep.
+    pub fn useful_line_bound(&self) -> usize {
+        self.line_bound
     }
 
     /// The maximum over all execution points of the reload bound
@@ -487,8 +673,13 @@ pub fn dataflow_useful(
     let cfg = Cfg::from_program(program);
     let mut profiles: Vec<NodeSequences> = vec![NodeSequences::default(); cfg.len()];
     for variant in program.variants() {
-        let trace = rtprogram::sim::trace_variant(program, variant)
-            .map_err(|source| AnalysisError::Exec { task: program.name().to_string(), source })?;
+        let trace = rtprogram::sim::trace_variant(program, variant).map_err(|source| {
+            AnalysisError::Exec {
+                task: program.name().to_string(),
+                variant: variant.name.clone(),
+                source,
+            }
+        })?;
         for exec in cfg.attribute(&trace) {
             let seq: Vec<MemoryBlock> =
                 exec.accesses.iter().map(|a| geometry.block_of_addr(a.addr)).collect();

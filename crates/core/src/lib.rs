@@ -80,7 +80,7 @@ pub use approaches::{
     combined_overlap_breakdown, reload_lines, CrpdApproach, CrpdCellCache, CrpdMatrix,
 };
 pub use hierarchy::{two_level_analyze_all, two_level_preemption_delay, TwoLevelParams};
-pub use intra::{dataflow_useful, skyline_stats, DataflowUseful, UsefulTrace};
+pub use intra::{dataflow_useful, skyline_stats, DataflowUseful, PathRun, UsefulTrace};
 pub use multicore::{first_fit_assignment, multicore_analyze, CoreAssignment, SharedL2};
 pub use partition::{even_way_partition, partitioned_analyze_all, PartitionedTask};
 pub use schedutil::{hyperperiod, liu_layland_bound, rate_monotonic_priorities, total_utilization};
@@ -105,14 +105,18 @@ pub enum UsefulMethod<'a> {
 /// Errors from the CRPD analysis pipeline.
 #[derive(Debug)]
 pub enum AnalysisError {
-    /// A task's path simulation faulted.
+    /// A task's path simulation faulted or exhausted the step limit.
+    /// Displays as ``simulating task `T`, variant `V`: <fault>``.
     Exec {
         /// The task whose simulation faulted.
         task: String,
+        /// The input variant (feasible path) that faulted.
+        variant: String,
         /// The underlying fault.
         source: rtprogram::ExecError,
     },
-    /// WCET estimation failed.
+    /// A reference WCET estimation (two-level, partitioned or multicore
+    /// analysis) failed.
     Wcet {
         /// The task whose WCET estimation failed.
         task: String,
@@ -124,7 +128,9 @@ pub enum AnalysisError {
 impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AnalysisError::Exec { task, source } => write!(f, "simulating task `{task}`: {source}"),
+            AnalysisError::Exec { task, variant, source } => {
+                write!(f, "simulating task `{task}`, variant `{variant}`: {source}")
+            }
             AnalysisError::Wcet { task, source } => {
                 write!(f, "estimating WCET of task `{task}`: {source}")
             }

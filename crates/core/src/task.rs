@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use rtcache::{CacheGeometry, Ciip, PackedFootprint};
 use rtprogram::Program;
-use rtwcet::{estimate_wcet, TimingModel};
+use rtwcet::TimingModel;
 
 use crate::intra::UsefulTrace;
 use crate::AnalysisError;
@@ -130,53 +130,56 @@ pub struct AnalyzedPath {
 }
 
 impl AnalyzedProgram {
-    /// Simulates every feasible path of `program`, classifies its accesses
-    /// against a cold cache and estimates the WCET.
+    /// Simulates every feasible path of `program` once, classifying its
+    /// accesses against a cold cache as the simulator emits them, and
+    /// takes the WCET from the same pass: per path,
+    /// `cycles = instructions·cpi + misses·Cmiss`; the WCET is the
+    /// maximum over paths (the number [`rtwcet::estimate_wcet`], the
+    /// reference implementation, computes in a separate run).
     ///
-    /// The WCET estimation and the per-variant trace analyses are
-    /// independent, so they fan out over the current [`rtpar`] pool; the
-    /// union footprint is folded in variant order afterwards, keeping the
-    /// artifact byte-identical at any thread count.
+    /// The per-variant runs are independent, so they fan out over the
+    /// current [`rtpar`] pool; the union footprint and the WCET are
+    /// folded in variant order afterwards, keeping the artifact
+    /// byte-identical at any thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError`] if a path simulation faults.
+    /// Returns [`AnalysisError::Exec`], naming the task and the first
+    /// faulting variant in variant order, if a path simulation faults or
+    /// exhausts the step limit.
     pub fn analyze(
         program: &Program,
         geometry: CacheGeometry,
         model: TimingModel,
     ) -> Result<Self, AnalysisError> {
         let _span = rtobs::span_labeled("analyze", || program.name().to_string());
-        let (wcet, traced) = rtpar::join(
-            || {
-                let _span = rtobs::span_labeled("wcet", || program.name().to_string());
-                estimate_wcet(program, geometry, model).map_err(|e| AnalysisError::Wcet {
+        let runs = rtpar::par_map(program.variants(), |variant| {
+            let _span =
+                rtobs::span_labeled("trace", || format!("{}/{}", program.name(), variant.name));
+            let run = UsefulTrace::simulate(program, variant, geometry).map_err(|source| {
+                AnalysisError::Exec {
                     task: program.name().to_string(),
-                    source: e,
-                })
-            },
-            || {
-                rtpar::par_map(program.variants(), |variant| {
-                    let _span = rtobs::span_labeled("trace", || {
-                        format!("{}/{}", program.name(), variant.name)
-                    });
-                    let trace =
-                        rtprogram::sim::trace_variant(program, variant).map_err(|source| {
-                            AnalysisError::Exec { task: program.name().to_string(), source }
-                        })?;
-                    let trace = UsefulTrace::from_trace(&trace, geometry);
-                    let blocks = trace.all_blocks();
-                    let packed = PackedFootprint::from_ciip(&blocks);
-                    Ok(AnalyzedPath { name: variant.name.clone(), trace, blocks, packed })
-                })
-            },
-        );
-        let wcet = wcet?;
+                    variant: variant.name.clone(),
+                    source,
+                }
+            })?;
+            let packed = PackedFootprint::from_ciip(&run.blocks);
+            let cycles = model.cycles(run.instructions, run.misses);
+            let path = AnalyzedPath {
+                name: variant.name.clone(),
+                trace: run.trace,
+                blocks: run.blocks,
+                packed,
+            };
+            Ok((cycles, path))
+        });
         let ciip_span = rtobs::span_labeled("ciip", || program.name().to_string());
-        let mut paths = Vec::with_capacity(traced.len());
+        let mut wcet = 0;
+        let mut paths = Vec::with_capacity(runs.len());
         let mut all_blocks = Ciip::empty(geometry);
-        for path in traced {
-            let path: AnalyzedPath = path?;
+        for run in runs {
+            let (cycles, path): (u64, AnalyzedPath) = run?;
+            wcet = wcet.max(cycles);
             all_blocks = all_blocks.union(&path.blocks);
             paths.push(path);
         }
@@ -187,7 +190,7 @@ impl AnalyzedProgram {
         drop(ciip_span);
         Ok(AnalyzedProgram {
             name: program.name().to_string(),
-            wcet: wcet.cycles,
+            wcet,
             geometry,
             model,
             fingerprint: program_fingerprint(program, geometry, model),
@@ -221,8 +224,7 @@ impl AnalyzedProgram {
         let mut paths = Vec::with_capacity(path_accesses.len());
         let mut all_blocks = Ciip::empty(geometry);
         for (path_name, accesses) in path_accesses {
-            let trace = UsefulTrace::from_accesses(geometry, accesses);
-            let blocks = trace.all_blocks();
+            let (trace, blocks) = UsefulTrace::with_footprint(geometry, accesses);
             let packed = PackedFootprint::from_ciip(&blocks);
             all_blocks = all_blocks.union(&blocks);
             paths.push(AnalyzedPath { name: path_name, trace, blocks, packed });
@@ -278,9 +280,11 @@ impl AnalyzedProgram {
     /// Approach 3's per-task reload count: the maximum over feasible paths
     /// and execution points of `Σ_r min(|useful_r|, L)` (Definition 4
     /// evaluated per path).
+    ///
+    /// Each path records its maximum at construction, so this runs no
+    /// sweep.
     pub fn useful_line_bound(&self) -> usize {
-        let _span = rtobs::span_labeled("mumbs", || format!("{}: line bound", self.name));
-        self.paths.iter().map(|p| p.trace.max_line_bound().0).max().unwrap_or(0)
+        self.paths.iter().map(|p| p.trace.useful_line_bound()).max().unwrap_or(0)
     }
 
     /// The maximum useful memory blocks set (`M̃a`, Definition 4): the

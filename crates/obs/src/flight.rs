@@ -57,8 +57,8 @@ pub const STAGES: [&str; 14] = [
     "mumbs",
     "peer_fetch",
     "request",
+    "skyline",
     "trace",
-    "wcet",
     "wcrt",
 ];
 

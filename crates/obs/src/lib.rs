@@ -229,8 +229,8 @@ pub struct Counters {
     /// Artifact-cache lookups keyed by pipeline stage (`"assemble"`,
     /// `"analyze"`, `"crpd_cell"`, …): stage hits vs. recomputes.
     pub stage_lookups: BTreeMap<&'static str, StageLookupTally>,
-    /// Useful-trace skyline pruning effectiveness across all packed
-    /// footprint builds (`ciip_pack` stage).
+    /// Useful-trace skyline pruning effectiveness across all skyline
+    /// builds (`skyline` stage).
     pub skyline: SkylineTally,
     /// Design-space exploration progress (`explore` stage): points
     /// evaluated plus the latest Pareto front size.

@@ -340,9 +340,26 @@ impl<'p> Simulator<'p> {
 /// Returns an [`ExecError`] on any execution fault; variant writes outside
 /// the data segments are reported as [`ExecError::Mem`] at the entry pc.
 pub fn trace_variant(program: &Program, variant: &InputVariant) -> Result<Trace, ExecError> {
+    let mut accesses = Vec::new();
+    let instructions = run_variant(program, variant, |access| accesses.push(access))?;
+    Ok(Trace { accesses, instructions })
+}
+
+/// Runs `program` under `variant` to `halt` with the default step limit,
+/// streaming each access into `sink` instead of collecting a trace, and
+/// returns the number of instructions executed.
+///
+/// # Errors
+///
+/// As [`trace_variant`].
+pub fn run_variant<F>(program: &Program, variant: &InputVariant, sink: F) -> Result<u64, ExecError>
+where
+    F: FnMut(MemoryAccess),
+{
     let mut sim = Simulator::with_variant(program, variant)
         .map_err(|source| ExecError::Mem { pc: program.entry(), source })?;
-    sim.run_to_halt()
+    sim.run_with_limit(DEFAULT_STEP_LIMIT, sink)?;
+    Ok(sim.steps())
 }
 
 #[cfg(test)]

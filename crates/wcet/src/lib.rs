@@ -5,8 +5,11 @@
 //!
 //! * [`estimate_wcet`] — the paper's method: simulate every feasible path
 //!   (input variant) against a cold cache and take the slowest
-//!   (`cycles = instructions × CPI + misses × Cmiss`). This is what feeds
-//!   `C_i` in the WCRT recurrence (Eq. 6/7).
+//!   (`cycles = instructions × CPI + misses × Cmiss`). This is the
+//!   reference implementation of `C_i` in the WCRT recurrence (Eq. 6/7);
+//!   the CRPD analysis derives the same number from its own single
+//!   classified pass per path, and a differential test holds the two
+//!   equal.
 //! * [`structural_wcet_bound`] — a simulation-free all-accesses-miss bound
 //!   from the CFG: longest entry→exit path with loop bodies weighted by
 //!   their declared iteration bounds. It always dominates the simulated
@@ -35,7 +38,6 @@ use std::fmt;
 use rtcache::{CacheGeometry, CacheHierarchy, CacheSim, HierarchyError};
 use rtprogram::cfg::Cfg;
 use rtprogram::paths::{self, PathEnumError};
-use rtprogram::sim::Simulator;
 use rtprogram::{ExecError, Instr, Program};
 
 /// The processor timing model: one instruction per `cpi` cycles plus
@@ -53,6 +55,12 @@ impl TimingModel {
     /// A model with the given miss penalty and single-cycle issue.
     pub fn with_miss_penalty(miss_penalty: u64) -> Self {
         TimingModel { cpi: 1, miss_penalty }
+    }
+
+    /// The cold-cache cycle count of one path run:
+    /// `instructions × cpi + misses × miss_penalty`.
+    pub fn cycles(&self, instructions: u64, misses: u64) -> u64 {
+        instructions * self.cpi + misses * self.miss_penalty
     }
 }
 
@@ -160,20 +168,17 @@ pub fn time_variant(
     model: TimingModel,
 ) -> Result<VariantTiming, WcetError> {
     let variant = &program.variants()[variant_index];
-    let wrap = |source: ExecError| WcetError::Exec { variant: variant.name.clone(), source };
-    let mut sim = Simulator::with_variant(program, variant)
-        .map_err(|source| wrap(ExecError::Mem { pc: program.entry(), source }))?;
     let mut cache = CacheSim::new(geometry);
-    sim.run_with_limit(rtprogram::sim::DEFAULT_STEP_LIMIT, |access| {
+    let instructions = rtprogram::sim::run_variant(program, variant, |access| {
         cache.access(access.addr);
     })
-    .map_err(wrap)?;
-    let stats = cache.stats();
+    .map_err(|source| WcetError::Exec { variant: variant.name.clone(), source })?;
+    let misses = cache.stats().misses;
     Ok(VariantTiming {
         name: variant.name.clone(),
-        cycles: sim.steps() * model.cpi + stats.misses * model.miss_penalty,
-        instructions: sim.steps(),
-        misses: stats.misses,
+        cycles: model.cycles(instructions, misses),
+        instructions,
+        misses,
     })
 }
 
@@ -268,25 +273,22 @@ pub fn estimate_wcet_hierarchy(
 ) -> Result<HierarchyWcetEstimate, WcetError> {
     let mut per_variant = Vec::with_capacity(program.variants().len());
     for variant in program.variants() {
-        let wrap = |source: ExecError| WcetError::Exec { variant: variant.name.clone(), source };
-        let mut sim = Simulator::with_variant(program, variant)
-            .map_err(|source| wrap(ExecError::Mem { pc: program.entry(), source }))?;
         let mut hierarchy = CacheHierarchy::new(l1, l2)?;
         let (mut l2_hits, mut mem_misses) = (0u64, 0u64);
-        sim.run_with_limit(rtprogram::sim::DEFAULT_STEP_LIMIT, |access| {
-            match hierarchy.access(access.addr) {
-                rtcache::LevelOutcome::L1Hit => {}
-                rtcache::LevelOutcome::L2Hit => l2_hits += 1,
-                rtcache::LevelOutcome::MemMiss => mem_misses += 1,
-            }
+        let instructions = rtprogram::sim::run_variant(program, variant, |access| match hierarchy
+            .access(access.addr)
+        {
+            rtcache::LevelOutcome::L1Hit => {}
+            rtcache::LevelOutcome::L2Hit => l2_hits += 1,
+            rtcache::LevelOutcome::MemMiss => mem_misses += 1,
         })
-        .map_err(wrap)?;
+        .map_err(|source| WcetError::Exec { variant: variant.name.clone(), source })?;
         per_variant.push(HierarchyVariantTiming {
             name: variant.name.clone(),
-            cycles: sim.steps() * model.cpi
+            cycles: instructions * model.cpi
                 + l2_hits * model.l2_penalty
                 + mem_misses * model.mem_penalty,
-            instructions: sim.steps(),
+            instructions,
             l2_hits,
             mem_misses,
         });

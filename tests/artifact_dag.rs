@@ -88,7 +88,7 @@ fn param_only_change_reruns_zero_pipeline_stages() {
     let counters = session.recorder().counters();
     drop(session);
 
-    for stage in ["assemble", "trace", "wcet", "ciip", "analyze", "mumbs"] {
+    for stage in ["assemble", "trace", "skyline", "ciip", "analyze", "mumbs"] {
         assert!(
             !spans.iter().any(|s| s.stage == stage),
             "a param-only change must re-run zero `{stage}` spans, got: {:?}",

@@ -348,6 +348,41 @@ fn error_paths_leave_the_server_serving() {
     handle.join().expect("server exits cleanly after the error traffic");
 }
 
+/// A task whose path faults fails its `wcrt` request with the typed
+/// analysis error naming the task and variant; the server keeps serving.
+#[test]
+fn analysis_fault_replies_with_the_typed_error() {
+    const TASK_BAD: &str = ".text 0x3000\nstart: li r1, 0x7000000\nld r2, 0(r1)\nhalt\n";
+    let opts = rtcli::ServeOptions {
+        host: "127.0.0.1".to_string(),
+        port: 0,
+        threads: 2,
+        ..rtcli::ServeOptions::default()
+    };
+    let handle = Server::spawn(&opts).expect("bind ephemeral port");
+    let addr = handle.addr();
+    let faulting = Json::obj([
+        ("id", Json::from(1u64)),
+        ("cmd", Json::from("wcrt")),
+        ("spec", Json::from(SPEC.replace("lo.s", "bad.s").as_str())),
+        ("sources", Json::obj([("hi.s", Json::from(TASK_HI)), ("bad.s", Json::from(TASK_BAD))])),
+    ])
+    .encode();
+    let replies = roundtrip(addr, &[faulting, r#"{"id":2,"cmd":"ping"}"#.to_string()]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false), "{:?}", replies[0]);
+    assert_eq!(
+        replies[0].get("error").and_then(Json::as_str),
+        Some(
+            "analysis failed: simulating task `lo`, variant `default`: \
+             at pc 0x3004: access to unmapped data address 0x7000000"
+        )
+    );
+    assert_eq!(replies[1].get("output").and_then(Json::as_str), Some("pong"));
+    let replies = roundtrip(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]);
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
+    handle.join().expect("server exits cleanly after the failed analysis");
+}
+
 /// The wire spec format is the on-disk spec format: a spec that parses
 /// from disk must be accepted verbatim over the wire (with sources
 /// resolved from the server's filesystem as the fallback).
