@@ -491,11 +491,16 @@ pub fn cmd_sim_with(
     Ok(out)
 }
 
-/// Loads a program from already-read source; helper shared by spec
-/// loading.
-pub(crate) fn assemble_named(name: &str, source: &str) -> Result<Program, CliError> {
+/// Assembles the task `name` from already-read source under an
+/// `assemble` span: the one assemble step of spec loading, `trisc crpd`,
+/// the server's artifact store and the sweep store.
+///
+/// # Errors
+///
+/// Returns [`CliError::Asm`] naming the task (`{name}: line N: ...`).
+pub fn assemble_named(name: &str, source: &str) -> Result<Program, CliError> {
     let _span = rtobs::span_labeled("assemble", || name.to_string());
-    assemble(name, source).map_err(|e| CliError::Asm(e.to_string()))
+    assemble(name, source).map_err(|e| CliError::Asm(format!("{name}: {e}")))
 }
 
 #[cfg(test)]

@@ -2,11 +2,9 @@
 //! experiments (§VIII) and the per-task-pair reload matrix.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use crate::store::StageStore;
 use crate::task::AnalyzedTask;
 use crate::UsefulMethod;
 
@@ -176,7 +174,8 @@ pub fn combined_overlap_breakdown(
 }
 
 /// A keyed cache of pairwise reload bounds: one cell per
-/// `(approach, preempted fingerprint, preempting fingerprint)`.
+/// `(approach, preempted fingerprint, preempting fingerprint)`, recorded
+/// as the `crpd_cell` stage.
 ///
 /// Fingerprints ([`AnalyzedTask::fingerprint`]) content-address the
 /// params-free [`crate::task::AnalyzedProgram`] artifacts, so a bound
@@ -185,24 +184,18 @@ pub fn combined_overlap_breakdown(
 /// (or geometry/model) changed recompute. Scheduling parameters are not
 /// part of the key: they decide *which* cells a matrix needs (who can
 /// preempt whom), never a cell's value.
-///
-/// Thread-safe and deliberately not single-flight: cells are cheap
-/// relative to full analysis and deterministic, so two threads racing on
-/// one cell both compute the same value and the second insert is a no-op.
-#[derive(Debug, Default)]
-pub struct CrpdCellCache {
-    cells: Mutex<HashMap<(CrpdApproach, u128, u128), usize>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+pub type CrpdCellCache = StageStore<(CrpdApproach, u128, u128), usize>;
+
+impl Default for CrpdCellCache {
+    fn default() -> Self {
+        StageStore::new("crpd_cell")
+    }
 }
 
 impl CrpdCellCache {
     /// [`reload_lines`] through the cache: returns the memoized bound for
-    /// the pair's content key, computing and inserting it on first use.
-    ///
-    /// Every lookup is recorded with `rtobs` as a `crpd_cell` stage
-    /// lookup; only misses run (and record a span for) the actual
-    /// computation.
+    /// the pair's content key, computing (and recording a span for) it
+    /// on first use.
     ///
     /// # Panics
     ///
@@ -215,41 +208,13 @@ impl CrpdCellCache {
         preempting: &AnalyzedTask,
     ) -> usize {
         let key = (approach, preempted.fingerprint(), preempting.fingerprint());
-        if let Some(&lines) = self.cells.lock().expect("crpd cell cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            rtobs::record_stage_lookup("crpd_cell", true);
-            return lines;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        rtobs::record_stage_lookup("crpd_cell", false);
-        let lines = {
+        let Ok(lines) = self.get_or_compute(key, || {
             let _span = rtobs::span_labeled("crpd", || {
                 format!("{approach} {}<-{}", preempted.name(), preempting.name())
             });
-            reload_lines(approach, preempted, preempting)
-        };
-        self.cells.lock().expect("crpd cell cache lock").insert(key, lines);
-        lines
-    }
-
-    /// Number of lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to compute the bound.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct cells currently held.
-    pub fn len(&self) -> usize {
-        self.cells.lock().expect("crpd cell cache lock").len()
-    }
-
-    /// `true` if no cell has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+            Ok::<_, std::convert::Infallible>(reload_lines(approach, preempted, preempting))
+        });
+        *lines
     }
 }
 
@@ -456,6 +421,28 @@ mod tests {
         assert_eq!((cache.misses(), cache.len()), (2, 2));
         // …and the cached matrix matches the uncached one byte-for-byte.
         assert_eq!(CrpdMatrix::compute(CrpdApproach::Combined, &tasks), m1);
+    }
+
+    #[test]
+    fn racing_lookups_of_one_cell_compute_it_once() {
+        const THREADS: usize = 8;
+        let (ed, mr) = small_pair();
+        let cache = CrpdCellCache::default();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let bounds: Vec<usize> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.reload_lines(CrpdApproach::Combined, &ed, &mr)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|racer| racer.join().expect("racer")).collect()
+        });
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, THREADS as u64 - 1, 1));
+        let expected = reload_lines(CrpdApproach::Combined, &ed, &mr);
+        assert!(bounds.iter().all(|&b| b == expected), "{bounds:?} vs {expected}");
     }
 
     /// The pre-PackedFootprint formulation of every approach, straight

@@ -18,7 +18,8 @@
 //!
 //! [`approaches`] implements the four bounds compared in the paper's
 //! Table II; [`task::AnalyzedTask`] packages a program's traces, footprint
-//! CIIPs and WCET for the analysis.
+//! CIIPs and WCET for the analysis. [`StageStore`] is the single-flight
+//! memo store every content-keyed artifact cache is an instance of.
 //!
 //! # Example
 //!
@@ -59,6 +60,7 @@ pub mod intra;
 pub mod multicore;
 pub mod partition;
 pub mod schedutil;
+pub mod store;
 pub mod task;
 pub mod wcrt;
 
@@ -84,6 +86,7 @@ pub use intra::{dataflow_useful, skyline_stats, DataflowUseful, PathRun, UsefulT
 pub use multicore::{first_fit_assignment, multicore_analyze, CoreAssignment, SharedL2};
 pub use partition::{even_way_partition, partitioned_analyze_all, PartitionedTask};
 pub use schedutil::{hyperperiod, liu_layland_bound, rate_monotonic_priorities, total_utilization};
+pub use store::{StageStats, StageStore};
 pub use task::{
     content_hash128, program_fingerprint, AnalyzedPath, AnalyzedProgram, AnalyzedTask, TaskParams,
 };

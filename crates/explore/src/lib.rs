@@ -176,45 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_bind_once_per_unique_geometry_and_model() {
-        // 2 geometries x 2 cmiss x 2 ccs x 2 pscale x 4 approaches = 64
-        // points, but only 2x2 unique (geometry, model) keys per task:
-        // the recorder must see exactly one analyze span per unique key
-        // and a stage hit rate >= 0.9 across the sweep.
-        let _serial = obs_serial();
-        let grid =
-            Grid::parse("sets 32 64\ncmiss 20 40\nccs 50 150\nperiod-scale 0.5 1\napproach all\n")
-                .unwrap();
-        let spec = spec();
-        let plan = Plan::new(&spec, &grid).unwrap();
-        assert_eq!(plan.len(), 64);
-        let store = LocalStore::new(sources());
-        let cells = CrpdCellCache::default();
-        let provider = |task: usize, geometry, model| store.analyzed_program(task, geometry, model);
-        let session = rtobs::begin();
-        run_sweep(&plan, &provider, &cells, |_, _| {}).unwrap();
-        let stages = session.recorder().stage_durations();
-        let counters = session.recorder().counters();
-        drop(session);
-        let span_count = |stage: &str| stages.get(stage).map(|(count, _)| *count).unwrap_or(0);
-        assert_eq!(span_count("analyze"), 2 * 2 * 2, "one analyze per (task, geometry, model)");
-        assert_eq!(span_count("assemble"), 2, "one assemble per task");
-        assert_eq!(counters.explore.points, 64);
-        let analyze = counters.stage_lookups.get("analyze").copied().unwrap_or_default();
-        let rate = analyze.hits as f64 / (analyze.hits + analyze.misses) as f64;
-        assert!(rate >= 0.9, "analyze stage hit rate {rate} below 0.9");
-    }
-
-    /// Serializes recorder-dependent tests within this binary.
-    fn obs_serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-        match LOCK.get_or_init(std::sync::Mutex::default).lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    #[test]
     fn cmd_explore_reads_grid_spec_and_sources_from_disk() {
         let dir = std::env::temp_dir().join(format!("rtexplore-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

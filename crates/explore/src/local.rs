@@ -1,62 +1,35 @@
-//! An in-process artifact store for storeless sweeps (CLI and bench):
-//! the same two content-addressed stages the analysis server keeps —
-//! assemble and analyze — minus the cross-request machinery.
+use std::sync::Arc;
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-use crpd::AnalyzedProgram;
+use crpd::{AnalyzedProgram, StageStats, StageStore};
 use rtcache::CacheGeometry;
 use rtcli::CliError;
 use rtprogram::Program;
 use rtwcet::TimingModel;
 
 /// Memoizes each task's assembled [`Program`] and its
-/// [`AnalyzedProgram`] per `(task, geometry, model)`. Every lookup is
-/// recorded as an rtobs stage lookup (`assemble` / `analyze`), so sweep
-/// hit rates are measurable exactly like the server's `StageStore` path.
-///
-/// Misses compute outside the map lock so distinct artifacts build in
-/// parallel; the sweep engine pre-warms each batch's unique
-/// combinations, so concurrent lookups for the *same* key only happen
-/// once the key is already present.
+/// [`AnalyzedProgram`] per `(task, geometry, model)`, in the same
+/// single-flight `assemble` / `analyze` stages the analysis server keeps.
 pub struct LocalStore {
     /// `(name, source)` per task, in spec order.
     tasks: Vec<(String, String)>,
-    programs: Mutex<HashMap<usize, Arc<Program>>>,
-    analyses: Mutex<HashMap<AnalysisKey, Arc<AnalyzedProgram>>>,
+    assemble: StageStore<usize, Program>,
+    analyze: StageStore<(usize, CacheGeometry, TimingModel), AnalyzedProgram>,
 }
-
-/// The analyze-stage key. The timing model enters through the miss
-/// penalty — the only model axis a sweep varies.
-type AnalysisKey = (usize, CacheGeometry, u64);
 
 impl LocalStore {
     /// Creates a store over the sweep's tasks: `(name, assembly source)`
     /// in spec order.
     pub fn new(tasks: Vec<(String, String)>) -> Self {
-        LocalStore { tasks, programs: Mutex::default(), analyses: Mutex::default() }
+        LocalStore {
+            tasks,
+            assemble: StageStore::new("assemble"),
+            analyze: StageStore::new("analyze"),
+        }
     }
 
     /// Number of tasks the store serves.
     pub fn task_count(&self) -> usize {
         self.tasks.len()
-    }
-
-    fn program(&self, task: usize) -> Result<Arc<Program>, CliError> {
-        if let Some(hit) = self.programs.lock().expect("program store").get(&task) {
-            rtobs::record_stage_lookup("assemble", true);
-            return Ok(Arc::clone(hit));
-        }
-        rtobs::record_stage_lookup("assemble", false);
-        let (name, source) = &self.tasks[task];
-        let program = {
-            let _span = rtobs::span_labeled("assemble", || name.clone());
-            rtprogram::asm::assemble(name, source)
-                .map_err(|e| CliError::Asm(format!("{name}: {e}")))?
-        };
-        let mut programs = self.programs.lock().expect("program store");
-        Ok(Arc::clone(programs.entry(task).or_insert_with(|| Arc::new(program))))
     }
 
     /// The analyzed artifact of `task` under `(geometry, model)`,
@@ -72,17 +45,19 @@ impl LocalStore {
         geometry: CacheGeometry,
         model: TimingModel,
     ) -> Result<Arc<AnalyzedProgram>, CliError> {
-        let key: AnalysisKey = (task, geometry, model.miss_penalty);
-        if let Some(hit) = self.analyses.lock().expect("analysis store").get(&key) {
-            rtobs::record_stage_lookup("analyze", true);
-            return Ok(Arc::clone(hit));
-        }
-        rtobs::record_stage_lookup("analyze", false);
-        let program = self.program(task)?;
-        let analyzed = AnalyzedProgram::analyze(&program, geometry, model)
-            .map_err(|e| CliError::Analysis(e.to_string()))?;
-        let mut analyses = self.analyses.lock().expect("analysis store");
-        Ok(Arc::clone(analyses.entry(key).or_insert_with(|| Arc::new(analyzed))))
+        self.analyze.get_or_compute((task, geometry, model), || {
+            let program = self.assemble.get_or_compute(task, || {
+                let (name, source) = &self.tasks[task];
+                rtcli::assemble_named(name, source)
+            })?;
+            AnalyzedProgram::analyze(&program, geometry, model)
+                .map_err(|e| CliError::Analysis(e.to_string()))
+        })
+    }
+
+    /// Counters of the `assemble` and `analyze` stages of this store.
+    pub fn stage_stats(&self) -> [StageStats; 2] {
+        [self.assemble.stats(), self.analyze.stats()]
     }
 }
 
@@ -112,11 +87,15 @@ mod tests {
 
     #[test]
     fn assembly_errors_surface_and_are_not_cached() {
-        let store = LocalStore::new(vec![("bad".into(), "not assembly".into())]);
+        let store = LocalStore::new(vec![("bad".into(), "frobnicate r1\n".into())]);
         let g = CacheGeometry::new(64, 2, 16).unwrap();
         let err = store.analyzed_program(0, g, TimingModel::default()).unwrap_err();
         assert!(matches!(err, CliError::Asm(_)), "{err}");
+        assert_eq!(err.to_string(), "assembly failed: bad: line 1: unknown mnemonic `frobnicate`");
         // Still fails (and still reports the assembler) on retry.
         assert!(store.analyzed_program(0, g, TimingModel::default()).is_err());
+        let [assemble, analyze] = store.stage_stats();
+        assert_eq!((assemble.misses, assemble.entries), (2, 0), "failures are not cached");
+        assert_eq!((analyze.misses, analyze.entries), (2, 0));
     }
 }

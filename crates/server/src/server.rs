@@ -667,12 +667,12 @@ fn run_peer_get(
     let geometry = rtcache::CacheGeometry::new(geometry.0, geometry.1, geometry.2)
         .map_err(|e| CliError::Options(e.to_string()))?;
     let model = rtwcet::TimingModel { cpi: model.0, miss_penalty: model.1 };
-    let artifact = state.store.analyzed_program_local(name, source, geometry, model)?;
     let key = crate::store::AnalysisKey {
         program_hash: crate::store::program_hash(name, source),
         geometry,
         model,
     };
+    let artifact = state.store.analyzed_program_local(&key, name, source)?;
     Ok(crate::cluster::peer_get_response(id, &key, &artifact))
 }
 
