@@ -187,11 +187,11 @@ fn profile_workload(w: &Workload, recorder: &FlightRecorder, reps: usize) -> (Js
     let mut stage_samples: Vec<Vec<u64>> =
         vec![Vec::with_capacity(reps); rtobs::flight::STAGES.len()];
     for _ in 0..reps {
-        let scope = recorder.begin(w.name, 0, false);
+        let scope = recorder.begin(w.name, 0);
         (w.run)();
-        let finished = scope.finish(true);
-        totals_us.push(finished.record.total_us);
-        for (samples, ns) in stage_samples.iter_mut().zip(finished.record.stage_ns) {
+        let record = scope.finish(true);
+        totals_us.push(record.total_us);
+        for (samples, ns) in stage_samples.iter_mut().zip(record.stage_ns) {
             samples.push(ns);
         }
     }
@@ -202,7 +202,7 @@ fn profile_workload(w: &Workload, recorder: &FlightRecorder, reps: usize) -> (Js
     let mut off_secs = Vec::with_capacity(reps);
     for _ in 0..reps {
         let started = Instant::now();
-        let scope = recorder.begin(w.name, 0, false);
+        let scope = recorder.begin(w.name, 0);
         (w.run)();
         scope.finish(true);
         on_secs.push(started.elapsed().as_secs_f64());
@@ -251,9 +251,9 @@ fn histogram_json(recorder: &FlightRecorder) -> Json {
             .into_iter()
             .map(|e| {
                 let entry = Json::obj([
-                    ("count", Json::from(e.count)),
-                    ("p50_us", Json::from(e.p50_us)),
-                    ("p99_us", Json::from(e.p99_us)),
+                    ("count", Json::from(e.hist.count)),
+                    ("p50_us", Json::from(e.hist.quantile_upper_bound(0.50))),
+                    ("p99_us", Json::from(e.hist.quantile_upper_bound(0.99))),
                 ]);
                 (e.endpoint.to_string(), entry)
             })
@@ -310,7 +310,7 @@ fn run() -> Result<(), String> {
         .map(|text| Json::parse(text.trim_end()).map_err(|e| format!("{baseline_path}: {e}")))
         .transpose()?;
 
-    let recorder = FlightRecorder::new(1024);
+    let recorder = FlightRecorder::new(1024, None);
     let mut workload_profiles = std::collections::BTreeMap::new();
     let mut overheads = Vec::new();
     println!(
@@ -459,25 +459,20 @@ mod tests {
         assert!(parse_options(["--wat"].map(String::from).into_iter()).is_err());
     }
 
-    /// The ISSUE's hot-path promise: a begin/finish cycle with no work
-    /// inside costs well under the 5% budget on any realistic request.
+    /// The recorder's hot-path promise: a begin/finish cycle with no work
+    /// inside costs well under the 5% budget of a 2 ms request. The
+    /// cycles are timed directly, so scheduler noise around a sleeping
+    /// workload cannot read as recorder overhead.
     #[test]
     fn recorder_frame_overhead_is_small_against_a_millisecond_workload() {
-        let recorder = FlightRecorder::new(64);
-        let work = || std::thread::sleep(std::time::Duration::from_millis(2));
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        for _ in 0..5 {
-            let started = Instant::now();
-            let scope = recorder.begin("bench", 0, false);
-            work();
-            scope.finish(true);
-            on.push(started.elapsed().as_secs_f64());
-            let started = Instant::now();
-            work();
-            off.push(started.elapsed().as_secs_f64());
+        const CYCLES: u32 = 2_000;
+        let recorder = FlightRecorder::new(64, None);
+        let started = Instant::now();
+        for _ in 0..CYCLES {
+            recorder.begin("bench", 0).finish(true);
         }
-        let overhead = overhead_ratio(&on, &off);
+        let mean = started.elapsed().as_secs_f64() / f64::from(CYCLES);
+        let overhead = mean / 0.002;
         assert!(overhead < 0.05, "begin/finish cost {overhead:.4} of a 2ms request");
     }
 }

@@ -214,7 +214,7 @@ impl CrpdCellCache {
             });
             Ok::<_, std::convert::Infallible>(reload_lines(approach, preempted, preempting))
         });
-        *lines
+        lines
     }
 }
 

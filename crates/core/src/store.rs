@@ -5,11 +5,13 @@
 //!
 //! Each [`StageStore`] is *single-flight*: concurrent requests for one
 //! key elect a leader under the map lock, the leader computes outside the
-//! lock, and everyone else blocks on a condvar until the artifact (an
-//! [`Arc`], shared without copying) is ready. Results are immutable once
-//! computed (the analysis is deterministic; see `crate::intra`'s ordered
-//! sweeps), so no invalidation is ever needed: changed content simply
-//! hashes to a new key.
+//! lock, and everyone else blocks on a condvar until the value is ready.
+//! Values are stored inline and cloned out, so a small value (a CRPD
+//! cell's `usize`) costs no allocation and a large artifact is stored as
+//! an [`Arc`](std::sync::Arc), whose clone is a reference-count bump.
+//! Results are immutable once computed (the analysis is deterministic;
+//! see `crate::intra`'s ordered sweeps), so no invalidation is ever
+//! needed: changed content simply hashes to a new key.
 //!
 //! Failed stages are *not* cached: the in-flight slot is cleared so a
 //! later request retries — errors are cheap to recompute and callers may
@@ -18,7 +20,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// Hit/miss/entry counters of one stage, for `metrics`/`metrics_prom`.
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +40,8 @@ pub struct StageStats {
 enum Slot<V> {
     /// A leader is computing this key; waiters block on the condvar.
     InFlight,
-    /// The artifact, shared without copying.
-    Ready(Arc<V>),
+    /// The computed value.
+    Ready(V),
 }
 
 /// One memoized pipeline stage: a content-keyed map with single-flight
@@ -47,7 +49,7 @@ enum Slot<V> {
 ///
 /// `get_or_compute` elects exactly one *leader* per missing key (under
 /// the map lock), so concurrent requests for the same key run the stage
-/// once; the others wait and then share the leader's `Arc`. A leader
+/// once; the others wait and then clone the leader's value. A leader
 /// that fails (or panics) clears its slot, so errors are never cached
 /// and waiters retry — possibly becoming the next leader.
 pub struct StageStore<K, V> {
@@ -64,7 +66,7 @@ pub struct StageStore<K, V> {
     capacity: Option<usize>,
 }
 
-impl<K: Eq + Hash + Clone, V> StageStore<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> StageStore<K, V> {
     /// An unbounded store whose lookups are recorded under `stage`.
     pub fn new(stage: &'static str) -> Self {
         StageStore {
@@ -104,7 +106,7 @@ impl<K: Eq + Hash + Clone, V> StageStore<K, V> {
         &self,
         key: K,
         compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E> {
+    ) -> Result<V, E> {
         let mut waited = false;
         {
             let mut entries = self.entries.lock().expect("stage store lock");
@@ -113,7 +115,7 @@ impl<K: Eq + Hash + Clone, V> StageStore<K, V> {
                     Some(Slot::Ready(artifact)) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         rtobs::record_stage_lookup(self.stage, true);
-                        return Ok(Arc::clone(artifact));
+                        return Ok(artifact.clone());
                     }
                     Some(Slot::InFlight) => {
                         if !waited {
@@ -135,10 +137,10 @@ impl<K: Eq + Hash + Clone, V> StageStore<K, V> {
         // in parallel. The guard clears the in-flight slot on error *or*
         // panic, so waiters never deadlock on an abandoned slot.
         let mut guard = InFlightGuard { store: self, key: Some(key) };
-        let artifact = Arc::new(compute()?);
+        let artifact = compute()?;
         let key = guard.key.take().expect("leader key");
         let mut entries = self.entries.lock().expect("stage store lock");
-        entries.insert(key.clone(), Slot::Ready(Arc::clone(&artifact)));
+        entries.insert(key.clone(), Slot::Ready(artifact.clone()));
         Self::enforce_capacity(&mut entries, self.capacity, &key);
         drop(entries);
         self.ready.notify_all();
@@ -152,7 +154,7 @@ impl<K: Eq + Hash + Clone, V> StageStore<K, V> {
     /// This is the landing half of the cluster's `peer_put`: the value
     /// was computed (and counted) on another node, so recording a miss
     /// here would double-count the cluster-wide recompute total.
-    pub fn offer(&self, key: K, value: Arc<V>) -> bool {
+    pub fn offer(&self, key: K, value: V) -> bool {
         let mut entries = self.entries.lock().expect("stage store lock");
         if entries.contains_key(&key) {
             return false;
@@ -285,7 +287,7 @@ mod tests {
                 })
                 .collect();
             for handle in handles {
-                assert_eq!(*handle.join().expect("worker").expect("compute"), 42);
+                assert_eq!(handle.join().expect("worker").expect("compute"), 42);
             }
         });
         assert_eq!(runs.load(Ordering::Relaxed), 1, "exactly one leader runs the stage");
@@ -316,7 +318,7 @@ mod tests {
                         }
                     });
                     if let Ok(v) = result {
-                        assert_eq!(*v, 99);
+                        assert_eq!(v, 99);
                         successes.fetch_add(1, Ordering::SeqCst);
                     }
                 });

@@ -12,8 +12,8 @@ use rtwcet::TimingModel;
 pub struct LocalStore {
     /// `(name, source)` per task, in spec order.
     tasks: Vec<(String, String)>,
-    assemble: StageStore<usize, Program>,
-    analyze: StageStore<(usize, CacheGeometry, TimingModel), AnalyzedProgram>,
+    assemble: StageStore<usize, Arc<Program>>,
+    analyze: StageStore<(usize, CacheGeometry, TimingModel), Arc<AnalyzedProgram>>,
 }
 
 impl LocalStore {
@@ -48,9 +48,10 @@ impl LocalStore {
         self.analyze.get_or_compute((task, geometry, model), || {
             let program = self.assemble.get_or_compute(task, || {
                 let (name, source) = &self.tasks[task];
-                rtcli::assemble_named(name, source)
+                rtcli::assemble_named(name, source).map(Arc::new)
             })?;
             AnalyzedProgram::analyze(&program, geometry, model)
+                .map(Arc::new)
                 .map_err(|e| CliError::Analysis(e.to_string()))
         })
     }

@@ -12,9 +12,11 @@
 //!   static [`STAGES`] registry.
 //! * **[`FlightRecorder`]** — a fixed-capacity ring buffer of the most
 //!   recent records plus per-endpoint log₂-bucket latency histograms
-//!   ([`LogHistogram`]) with p50/p90/p99 readout. Committing a record is
-//!   O(capacity-independent): one atomic fetch-add for the sequence
-//!   number and one uncontended per-slot mutex store.
+//!   ([`LogHistogram`]) and error counts, and the slow-request black box
+//!   (span trees of requests at or over a slow threshold).
+//!   Committing a record is O(capacity-independent): one atomic
+//!   fetch-add for the sequence number and one uncontended per-slot
+//!   mutex store.
 //! * **Flight context propagation** — a request installs its
 //!   [`ActiveFlight`] frame thread-locally ([`FlightScope`]); spans
 //!   opened anywhere under it attribute their duration to the frame.
@@ -22,6 +24,11 @@
 //!   batch creation ([`context`]) and re-installs it on helper threads
 //!   ([`adopt`]), so work stolen by pool workers still attributes to the
 //!   request that spawned it, at any thread count.
+//!
+//! The recorder is a server's only per-request record: `rtserver`'s
+//! `metrics`, `statusz` and `metrics_prom` replies all read their
+//! per-endpoint counts, errors and latency histograms from
+//! [`FlightRecorder::endpoints`].
 //!
 //! The determinism contract of the parent crate extends here: analysis
 //! code only ever *writes* into a flight frame, so recording cannot
@@ -36,7 +43,7 @@
 //! nothing allocates between `begin` and `finish`.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -316,19 +323,10 @@ impl HistSnapshot {
 pub struct EndpointSummary {
     /// Endpoint label.
     pub endpoint: &'static str,
-    /// Requests recorded.
-    pub count: u64,
     /// Requests that failed.
     pub errors: u64,
-    /// Median latency upper bound, microseconds.
-    pub p50_us: u64,
-    /// 90th-percentile latency upper bound, microseconds.
-    pub p90_us: u64,
-    /// 99th-percentile latency upper bound, microseconds.
-    pub p99_us: u64,
-    /// Largest observed latency, microseconds.
-    pub max_us: u64,
-    /// The full histogram snapshot (for Prometheus bucket families).
+    /// The endpoint's latency histogram; its `count` is the number of
+    /// requests recorded.
     pub hist: HistSnapshot,
 }
 
@@ -338,8 +336,8 @@ struct EndpointStats {
     errors: AtomicU64,
 }
 
-/// The result of [`FlightScope::finish`]: the committed record plus the
-/// captured span events (empty unless span capture was requested).
+/// One slow-request capture in the black box: the committed record plus
+/// its span events in completion order.
 #[derive(Debug, Clone)]
 pub struct FinishedFlight {
     /// The committed flight record (also stored in the ring).
@@ -348,9 +346,13 @@ pub struct FinishedFlight {
     pub spans: Vec<SpanEvent>,
 }
 
+/// How many slow-request span trees the black box retains.
+pub const BLACK_BOX_CAP: usize = 32;
+
 /// The always-on flight recorder: a fixed-capacity ring of the most
-/// recent [`FlightRecord`]s, per-endpoint [`LogHistogram`]s, cumulative
-/// per-stage totals and an inflight gauge.
+/// recent [`FlightRecord`]s, per-endpoint [`LogHistogram`]s and error
+/// counts, cumulative per-stage totals, an inflight gauge and the
+/// slow-request black box.
 #[derive(Debug)]
 pub struct FlightRecorder {
     started: Instant,
@@ -360,12 +362,22 @@ pub struct FlightRecorder {
     slots: Box<[Mutex<Option<FlightRecord>>]>,
     endpoints: Mutex<BTreeMap<&'static str, Arc<EndpointStats>>>,
     stage_ns_total: [AtomicU64; STAGE_COUNT],
+    /// Requests at or above this wall time, milliseconds, land their span
+    /// tree in the black box. `None` disables span capture altogether.
+    slow_ms: Option<u64>,
+    /// The most recent slow-request captures, newest last.
+    black_box: Mutex<VecDeque<FinishedFlight>>,
+    /// Slow requests captured since creation (the black box is bounded;
+    /// this is not).
+    slow_total: AtomicU64,
 }
 
 impl FlightRecorder {
     /// Creates a recorder keeping the last `capacity` records
-    /// (`capacity` is clamped to at least 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
+    /// (`capacity` is clamped to at least 1). With `slow_ms` set, every
+    /// frame buffers up to [`SPAN_EVENT_CAP`] span events, and requests
+    /// of at least `slow_ms` milliseconds keep them in the black box.
+    pub fn new(capacity: usize, slow_ms: Option<u64>) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             started: Instant::now(),
@@ -375,20 +387,17 @@ impl FlightRecorder {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             endpoints: Mutex::new(BTreeMap::new()),
             stage_ns_total: zeroed(),
+            slow_ms,
+            black_box: Mutex::new(VecDeque::with_capacity(BLACK_BOX_CAP)),
+            slow_total: AtomicU64::new(0),
         }
     }
 
     /// Opens a flight frame for one request and installs it on the
-    /// calling thread. `capture_spans` additionally buffers up to
-    /// [`SPAN_EVENT_CAP`] span events for black-box retrieval.
-    pub fn begin(
-        &self,
-        endpoint: &'static str,
-        queue_us: u64,
-        capture_spans: bool,
-    ) -> FlightScope<'_> {
+    /// calling thread.
+    pub fn begin(&self, endpoint: &'static str, queue_us: u64) -> FlightScope<'_> {
         self.inflight.fetch_add(1, Ordering::Relaxed);
-        let flight = Arc::new(ActiveFlight::new(capture_spans));
+        let flight = Arc::new(ActiveFlight::new(self.slow_ms.is_some()));
         let guard = adopt(Some(flight.clone()));
         FlightScope {
             recorder: self,
@@ -418,6 +427,22 @@ impl FlightRecorder {
         self.started.elapsed().as_secs()
     }
 
+    /// The slow-request threshold, milliseconds (`None`: no capture).
+    pub fn slow_ms(&self) -> Option<u64> {
+        self.slow_ms
+    }
+
+    /// Slow requests captured since creation.
+    pub fn slow_total(&self) -> u64 {
+        self.slow_total.load(Ordering::Relaxed)
+    }
+
+    /// The black box: the most recent (at most [`BLACK_BOX_CAP`])
+    /// slow-request captures, oldest first.
+    pub fn black_box(&self) -> Vec<FinishedFlight> {
+        self.black_box.lock().expect("black box poisoned").iter().cloned().collect()
+    }
+
     /// The most recent `last` records, oldest first. At most
     /// [`FlightRecorder::capacity`] records exist at any time.
     pub fn journal(&self, last: usize) -> Vec<FlightRecord> {
@@ -439,18 +464,10 @@ impl FlightRecorder {
         };
         stats
             .into_iter()
-            .map(|(endpoint, s)| {
-                let hist = s.hist.snapshot();
-                EndpointSummary {
-                    endpoint,
-                    count: hist.count,
-                    errors: s.errors.load(Ordering::Relaxed),
-                    p50_us: hist.quantile_upper_bound(0.50),
-                    p90_us: hist.quantile_upper_bound(0.90),
-                    p99_us: hist.quantile_upper_bound(0.99),
-                    max_us: hist.max_us,
-                    hist,
-                }
+            .map(|(endpoint, s)| EndpointSummary {
+                endpoint,
+                errors: s.errors.load(Ordering::Relaxed),
+                hist: s.hist.snapshot(),
             })
             .collect()
     }
@@ -526,16 +543,26 @@ impl FlightScope<'_> {
     }
 
     /// Ends the frame: uninstalls it from the thread, commits the record
-    /// into the ring and histograms, and returns it together with any
-    /// captured span events.
-    pub fn finish(mut self, ok: bool) -> FinishedFlight {
+    /// into the ring and histograms, moves the span tree of a request at
+    /// or over the slow threshold into the black box, and returns the
+    /// record.
+    pub fn finish(mut self, ok: bool) -> FlightRecord {
         let ScopeInner { flight, _adopt } = self.inner.take().expect("flight scope finished twice");
         // Uninstall from the thread before reading, so no further spans
         // land in the frame while the record is being assembled.
         drop(_adopt);
-        let record = self.recorder.commit(&flight, self.endpoint, self.queue_us, ok);
-        let spans = std::mem::take(&mut *flight.lock_spans());
-        FinishedFlight { record, spans }
+        let recorder = self.recorder;
+        let record = recorder.commit(&flight, self.endpoint, self.queue_us, ok);
+        if recorder.slow_ms.is_some_and(|ms| record.total_us >= ms.saturating_mul(1000)) {
+            recorder.slow_total.fetch_add(1, Ordering::Relaxed);
+            let spans = std::mem::take(&mut *flight.lock_spans());
+            let mut black_box = recorder.black_box.lock().expect("black box poisoned");
+            if black_box.len() == BLACK_BOX_CAP {
+                black_box.pop_front();
+            }
+            black_box.push_back(FinishedFlight { record: record.clone(), spans });
+        }
+        record
     }
 }
 
@@ -610,8 +637,8 @@ mod tests {
 
     #[test]
     fn frames_attribute_spans_and_lookups() {
-        let recorder = FlightRecorder::new(8);
-        let scope = recorder.begin("wcrt", 42, true);
+        let recorder = FlightRecorder::new(8, Some(0));
+        let scope = recorder.begin("wcrt", 42);
         assert_eq!(recorder.inflight(), 1);
         let flight = scope.flight();
         let t0 = Instant::now();
@@ -621,27 +648,29 @@ mod tests {
         flight.note_lookup("analyze", true);
         flight.note_lookup("analyze", false);
         flight.note_lookup("crpd_cell", true);
-        let finished = scope.finish(true);
+        let record = scope.finish(true);
         assert_eq!(recorder.inflight(), 0);
         let crpd = stage_index("crpd").unwrap();
         let analyze = stage_index("analyze").unwrap();
         let cell = stage_index("crpd_cell").unwrap();
-        assert_eq!(finished.record.stage_ns[crpd], 2_000);
-        assert_eq!(finished.record.stage_hits[analyze], 1);
-        assert_eq!(finished.record.stage_misses[analyze], 1);
-        assert_eq!(finished.record.stage_hits[cell], 1);
-        assert_eq!(finished.record.queue_us, 42);
-        assert!(finished.record.ok);
-        assert_eq!(finished.spans.len(), 2, "unknown stages are not captured");
-        assert_eq!(finished.spans[0].dur_ns, 1_500);
+        assert_eq!(record.stage_ns[crpd], 2_000);
+        assert_eq!(record.stage_hits[analyze], 1);
+        assert_eq!(record.stage_misses[analyze], 1);
+        assert_eq!(record.stage_hits[cell], 1);
+        assert_eq!(record.queue_us, 42);
+        assert!(record.ok);
+        let captured = recorder.black_box();
+        assert_eq!(captured[0].record, record);
+        assert_eq!(captured[0].spans.len(), 2, "unknown stages are not captured");
+        assert_eq!(captured[0].spans[0].dur_ns, 1_500);
         assert_eq!(recorder.stage_totals()[crpd], ("crpd", 2_000));
     }
 
     #[test]
     fn ring_keeps_only_the_newest_records() {
-        let recorder = FlightRecorder::new(4);
+        let recorder = FlightRecorder::new(4, None);
         for k in 0..7 {
-            let scope = recorder.begin("ping", 0, false);
+            let scope = recorder.begin("ping", 0);
             scope.finish(k % 2 == 0);
         }
         assert_eq!(recorder.records_total(), 7);
@@ -665,54 +694,100 @@ mod tests {
         assert_eq!(snap.quantile_upper_bound(0.50), 127);
         assert_eq!(snap.quantile_upper_bound(0.99), 8_191);
         assert_eq!(snap.quantile_upper_bound(0.0), 1, "rank clamps to the first sample");
-        assert_eq!(
-            HistSnapshot { buckets: [0; HIST_BUCKETS], count: 0, sum_us: 0, max_us: 0 }
-                .quantile_upper_bound(0.5),
-            0
-        );
+        let empty = LogHistogram::new().snapshot();
+        assert_eq!(empty.quantile_upper_bound(0.5), 0, "empty histogram");
 
-        let recorder = FlightRecorder::new(2);
-        recorder.begin("wcrt", 0, false).finish(true);
-        recorder.begin("wcrt", 0, false).finish(false);
-        recorder.begin("ping", 0, false).finish(true);
+        // Bucket edges: bucket i holds [2^i, 2^(i+1)) µs, 0 µs included.
+        let hist = LogHistogram::new();
+        for us in [0, 1, 2, 3, 4, 1000, 1_000_000] {
+            hist.record(us);
+        }
+        let snap = hist.snapshot();
+        assert_eq!(snap.count, 7);
+        assert_eq!(snap.buckets[0], 2, "0 and 1 µs share bucket 0");
+        assert_eq!(snap.buckets[1], 2, "2 and 3 µs");
+        assert_eq!(snap.buckets[2], 1, "4 µs");
+        assert_eq!(snap.buckets[9], 1, "1000 µs in [512, 1024)");
+        assert_eq!(snap.buckets[19], 1, "1 s in [2^19, 2^20) µs");
+
+        // Quantiles are upper bounds and monotone: 98 fast samples and a
+        // slow tail of two.
+        let hist = LogHistogram::new();
+        for _ in 0..98 {
+            hist.record(10); // bucket 3: [8, 16)
+        }
+        hist.record(100_000); // bucket 16
+        hist.record(100_000);
+        let snap = hist.snapshot();
+        let p50 = snap.quantile_upper_bound(0.50);
+        let p95 = snap.quantile_upper_bound(0.95);
+        let p99 = snap.quantile_upper_bound(0.99);
+        assert_eq!(p50, 15, "the p50 sample is a 10 µs one");
+        assert_eq!(p95, 15);
+        assert!(p99 >= 100_000, "p99 must reach the slow tail, got {p99}");
+        assert!(p50 <= p95 && p95 <= p99);
+
+        let recorder = FlightRecorder::new(2, None);
+        recorder.begin("wcrt", 0).finish(true);
+        recorder.begin("wcrt", 0).finish(false);
+        recorder.begin("ping", 0).finish(true);
         let endpoints = recorder.endpoints();
         let names: Vec<&str> = endpoints.iter().map(|e| e.endpoint).collect();
         assert_eq!(names, ["ping", "wcrt"]);
-        assert_eq!(endpoints[1].count, 2);
+        assert_eq!(endpoints[1].hist.count, 2);
         assert_eq!(endpoints[1].errors, 1);
-        assert!(endpoints[1].p99_us >= endpoints[1].p50_us);
+        let wcrt = &endpoints[1].hist;
+        assert!(wcrt.quantile_upper_bound(0.99) >= wcrt.quantile_upper_bound(0.50));
     }
 
     #[test]
     fn span_capture_is_bounded() {
-        let recorder = FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, true);
+        let recorder = FlightRecorder::new(1, Some(0));
+        let scope = recorder.begin("wcrt", 0);
         let flight = scope.flight();
         let t0 = Instant::now();
         for _ in 0..(SPAN_EVENT_CAP + 10) {
             flight.note_span("crpd", 1, t0, Duration::from_nanos(1));
         }
-        let finished = scope.finish(true);
-        assert_eq!(finished.spans.len(), SPAN_EVENT_CAP);
-        assert_eq!(finished.record.spans_dropped, 10);
+        let record = scope.finish(true);
+        assert_eq!(recorder.black_box()[0].spans.len(), SPAN_EVENT_CAP);
+        assert_eq!(record.spans_dropped, 10);
     }
 
     #[test]
     fn capture_off_records_no_spans() {
-        let recorder = FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, false);
+        let recorder = FlightRecorder::new(1, None);
+        let scope = recorder.begin("wcrt", 0);
         let flight = scope.flight();
         flight.note_span("crpd", 1, Instant::now(), Duration::from_nanos(7));
-        let finished = scope.finish(true);
-        assert!(finished.spans.is_empty());
-        assert_eq!(finished.record.stage_ns[stage_index("crpd").unwrap()], 7);
+        let record = scope.finish(true);
+        assert!(recorder.black_box().is_empty());
+        assert_eq!(recorder.slow_total(), 0);
+        assert_eq!(record.stage_ns[stage_index("crpd").unwrap()], 7);
+    }
+
+    #[test]
+    fn black_box_keeps_the_newest_slow_requests() {
+        let recorder = FlightRecorder::new(4, Some(0));
+        for _ in 0..(BLACK_BOX_CAP + 3) {
+            recorder.begin("wcrt", 0).finish(true);
+        }
+        let captured = recorder.black_box();
+        assert_eq!(captured.len(), BLACK_BOX_CAP, "the black box is bounded");
+        assert_eq!(captured[0].record.id, 3, "oldest captures are evicted first");
+        assert_eq!(recorder.slow_total(), BLACK_BOX_CAP as u64 + 3, "the tally is not");
+
+        let recorder = FlightRecorder::new(4, Some(3_600_000));
+        recorder.begin("wcrt", 0).finish(true);
+        assert!(recorder.black_box().is_empty(), "under the threshold nothing is kept");
+        assert_eq!(recorder.slow_total(), 0);
     }
 
     #[test]
     fn adoption_nests_and_restores() {
         assert!(context().is_none());
-        let recorder = FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, false);
+        let recorder = FlightRecorder::new(1, None);
+        let scope = recorder.begin("wcrt", 0);
         let outer = scope.flight();
         assert!(Arc::ptr_eq(&context().unwrap(), &outer));
         {
@@ -729,9 +804,9 @@ mod tests {
 
     #[test]
     fn abandoned_scope_releases_inflight_without_a_record() {
-        let recorder = FlightRecorder::new(4);
+        let recorder = FlightRecorder::new(4, None);
         {
-            let _scope = recorder.begin("wcrt", 0, false);
+            let _scope = recorder.begin("wcrt", 0);
             assert_eq!(recorder.inflight(), 1);
         }
         assert_eq!(recorder.inflight(), 0);

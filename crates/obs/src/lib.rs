@@ -742,19 +742,20 @@ mod tests {
     fn spans_and_lookups_attribute_to_flight_frames_without_a_recorder() {
         let _serial = test_lock();
         assert!(!enabled());
-        let recorder = flight::FlightRecorder::new(2);
-        let scope = recorder.begin("wcrt", 0, true);
+        let recorder = flight::FlightRecorder::new(2, Some(0));
+        let scope = recorder.begin("wcrt", 0);
         {
             let _outer =
                 span_labeled("wcrt", || panic!("label must not be built without a recorder"));
             let _inner = span("crpd");
         }
         record_stage_lookup("analyze", true);
-        let finished = scope.finish(true);
+        let record = scope.finish(true);
+        let finished = &recorder.black_box()[0];
         let events: Vec<(&str, u32)> = finished.spans.iter().map(|e| (e.stage, e.depth)).collect();
         assert_eq!(events, [("crpd", 2), ("wcrt", 1)], "completion order, nesting depths");
         let analyze = flight::stage_index("analyze").unwrap();
-        assert_eq!(finished.record.stage_hits[analyze], 1);
+        assert_eq!(record.stage_hits[analyze], 1);
         SPAN_STACK.with(|stack| assert!(stack.borrow().is_empty()));
     }
 

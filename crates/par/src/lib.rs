@@ -668,8 +668,8 @@ mod tests {
 
     #[test]
     fn batches_carry_flight_frames_onto_worker_threads() {
-        let recorder = rtobs::flight::FlightRecorder::new(1);
-        let scope = recorder.begin("wcrt", 0, false);
+        let recorder = rtobs::flight::FlightRecorder::new(1, None);
+        let scope = recorder.begin("wcrt", 0);
         let pool = Pool::new(4);
         let sum: u64 = pool
             .install(|| {
@@ -683,10 +683,10 @@ mod tests {
             .into_iter()
             .sum();
         assert_eq!(sum, 64 * 63 / 2);
-        let finished = scope.finish(true);
+        let record = scope.finish(true);
         let analyze = rtobs::flight::stage_index("analyze").unwrap();
         assert_eq!(
-            finished.record.stage_hits[analyze], 64,
+            record.stage_hits[analyze], 64,
             "every item attributes to the submitting request, wherever it ran"
         );
     }

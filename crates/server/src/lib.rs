@@ -4,10 +4,16 @@
 //! run. This crate keeps the analysis pipeline resident: a long-lived TCP
 //! daemon (`trisc serve`) speaks a newline-delimited JSON protocol
 //! ([`proto`]), executes `wcet`/`crpd`/`wcrt`/`sim` requests on a fixed
-//! worker pool ([`pool`]), memoizes `AnalyzedTask` artifacts
-//! content-addressed by program text, cache geometry, timing model and
-//! scheduling parameters ([`store`]), and reports per-endpoint counters
-//! and latency percentiles through a `metrics` request ([`metrics`]).
+//! worker pool ([`pool`]), and memoizes analysis artifacts
+//! content-addressed by program text, cache geometry and timing model,
+//! binding scheduling parameters after the cache ([`store`]).
+//!
+//! Every request is recorded once, by its frame in the always-on
+//! `rtobs` flight recorder: per-endpoint request and error counts and a
+//! log₂ latency histogram, a ring of recent records and a black box of
+//! slow requests' span trees. The `metrics`, `statusz` and
+//! `metrics_prom` requests render one per-endpoint table built from it
+//! ([`metrics`]), and `journal`/`flight` read the ring and black box.
 //!
 //! Everything is `std`-only — the JSON codec ([`json`]) is hand-rolled —
 //! and responses render through the exact same `rtcli` code paths as the

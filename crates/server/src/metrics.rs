@@ -1,83 +1,55 @@
-//! Built-in observability: per-endpoint request counters, error counters
-//! and log₂-bucketed latency histograms, snapshotted by the `metrics`
-//! request.
+//! Built-in observability: the `metrics` JSON snapshot and the
+//! `metrics_prom` Prometheus exposition.
+//!
+//! The flight recorder ([`FlightRecorder`]) is the server's one
+//! per-request record: it owns each endpoint's request count, error
+//! count and log₂ latency histogram ([`rtobs::flight::LogHistogram`]).
+//! [`Metrics`] keeps only what never flies through a flight frame as
+//! handled work — per-endpoint admission sheds and deadline misses — plus
+//! the `explore` tallies, and [`Metrics::endpoint_rows`] merges the two
+//! into the one per-endpoint table the `metrics`, `statusz` and
+//! `metrics_prom` replies render.
 //!
 //! Latencies land in buckets `[2^i, 2^(i+1))` microseconds, so reported
 //! percentiles are upper bounds with at most 2× resolution — plenty to
-//! tell a 50 µs cache hit from a 50 ms cold analysis, at a fixed 512-byte
+//! tell a 50 µs cache hit from a 50 ms cold analysis, at a fixed
 //! footprint per endpoint and O(1) recording cost.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+
+use rtobs::flight::{FlightRecorder, HistSnapshot, LogHistogram};
 
 use crate::json::Json;
 use crate::store::ArtifactStore;
 
-/// Number of log₂ buckets: covers up to 2^40 µs (~13 days) per request.
-const BUCKETS: usize = 40;
-
-/// A log₂-bucketed latency histogram.
-#[derive(Debug, Clone)]
-struct Histogram {
-    /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` µs (0 µs lands in
-    /// bucket 0 too).
-    buckets: [u64; BUCKETS],
-    total: u64,
-    /// Exact sum of every recorded sample, µs (buckets quantize; the sum
-    /// does not, so mean latency stays exact).
-    sum_us: u64,
-    /// Largest recorded sample, µs.
-    max_us: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { buckets: [0; BUCKETS], total: 0, sum_us: 0, max_us: 0 }
-    }
-}
-
-impl Histogram {
-    fn record(&mut self, micros: u64) {
-        let index = (63 - u64::leading_zeros(micros.max(1)) as usize).min(BUCKETS - 1);
-        self.buckets[index] += 1;
-        self.total += 1;
-        self.sum_us = self.sum_us.saturating_add(micros);
-        self.max_us = self.max_us.max(micros);
-    }
-
-    /// The upper bound (in µs) of the bucket holding the `q`-quantile
-    /// sample, or 0 with no samples. `q` in `[0, 1]`.
-    fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        // ceil(q * total) with a floor of 1: the rank of the quantile
-        // sample in ascending order.
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0;
-        for (i, count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return (1u64 << (i + 1)) - 1;
-            }
-        }
-        u64::MAX
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct EndpointStats {
-    requests: u64,
-    errors: u64,
-    /// Requests shed by admission control before any analysis ran (not
-    /// counted in `requests`/`errors`: the server never handled them).
+/// One endpoint's admission counters: the part of its row the flight
+/// recorder never sees.
+#[derive(Debug, Clone, Copy, Default)]
+struct Admission {
     shed: u64,
-    /// Requests rejected because their queue wait exceeded the deadline
-    /// (these *are* also counted as handled errors).
     deadline_misses: u64,
-    latency: Histogram,
+}
+
+/// One endpoint's row of the `metrics`, `statusz` and `metrics_prom`
+/// tables: the flight recorder's histogram and error count, merged with
+/// the admission counters [`Metrics`] owns.
+#[derive(Debug)]
+pub struct EndpointRow {
+    /// Endpoint label.
+    pub endpoint: &'static str,
+    /// Handled requests that failed.
+    pub errors: u64,
+    /// Requests shed by admission control before any analysis ran (not
+    /// in `hist` or `errors`: the server never handled them).
+    pub shed: u64,
+    /// Requests rejected because their queue wait exceeded the deadline
+    /// (these *are* also handled errors, in `hist` and `errors`).
+    pub deadline_misses: u64,
+    /// Latency histogram of the handled requests; `hist.count` is the
+    /// request count.
+    pub hist: HistSnapshot,
 }
 
 /// Admission-control gauges owned by the server state, passed into
@@ -89,78 +61,69 @@ pub struct AdmissionSnapshot {
     pub inflight: u64,
     /// The `--max-inflight` cap.
     pub max_inflight: u64,
-    /// Analysis requests shed since startup.
-    pub shed_total: u64,
     /// Connections currently open on the reactor.
     pub open_connections: u64,
     /// Reactor event loops.
     pub event_threads: u64,
 }
 
-/// Server-wide metrics. One instance lives in the shared server state;
-/// workers record one sample per handled request.
-#[derive(Debug)]
+/// Server-wide counters the flight recorder does not keep. One instance
+/// lives in the shared server state.
+#[derive(Debug, Default)]
 pub struct Metrics {
-    started: Instant,
-    endpoints: Mutex<BTreeMap<&'static str, EndpointStats>>,
+    admission: Mutex<BTreeMap<&'static str, Admission>>,
     /// Sweep points evaluated by `explore` requests, cumulative.
     explore_points: AtomicU64,
     /// Pareto-front size of the most recent completed `explore` sweep.
     explore_front_size: AtomicU64,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            started: Instant::now(),
-            endpoints: Mutex::new(BTreeMap::new()),
-            explore_points: AtomicU64::new(0),
-            explore_front_size: AtomicU64::new(0),
-        }
-    }
-}
-
 impl Metrics {
-    /// Records one handled request for `endpoint`.
-    pub fn record(&self, endpoint: &'static str, ok: bool, elapsed: Duration) {
-        let mut endpoints = self.endpoints.lock().expect("metrics lock");
-        let stats = endpoints.entry(endpoint).or_default();
-        stats.requests += 1;
-        if !ok {
-            stats.errors += 1;
-        }
-        stats.latency.record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-    }
-
     /// Records one request for `endpoint` shed by admission control. Shed
     /// requests never ran, so they land only in the shed counter — not in
-    /// `requests`, `errors` or the latency histogram.
+    /// the flight recorder's requests, errors or latency histogram.
     pub fn record_shed(&self, endpoint: &'static str) {
-        let mut endpoints = self.endpoints.lock().expect("metrics lock");
-        endpoints.entry(endpoint).or_default().shed += 1;
+        self.admission.lock().expect("metrics lock").entry(endpoint).or_default().shed += 1;
     }
 
     /// Records one deadline miss for `endpoint` (the request was rejected
-    /// after parse but before analysis; the caller still records it as a
-    /// handled error via [`record`](Metrics::record)).
+    /// after parse but before analysis; its flight frame still records it
+    /// as a handled error).
     pub fn record_deadline_miss(&self, endpoint: &'static str) {
-        let mut endpoints = self.endpoints.lock().expect("metrics lock");
-        endpoints.entry(endpoint).or_default().deadline_misses += 1;
+        let mut admission = self.admission.lock().expect("metrics lock");
+        admission.entry(endpoint).or_default().deadline_misses += 1;
     }
 
-    /// Per-endpoint admission counters: `(endpoint, shed,
-    /// deadline_misses)`, for the `statusz` payload.
-    pub fn admission_by_endpoint(&self) -> Vec<(String, u64, u64)> {
-        let endpoints = self.endpoints.lock().expect("metrics lock");
-        endpoints
-            .iter()
-            .map(|(name, stats)| ((*name).to_string(), stats.shed, stats.deadline_misses))
-            .collect()
-    }
-
-    /// Seconds since the server started.
-    pub fn uptime_secs(&self) -> u64 {
-        self.started.elapsed().as_secs()
+    /// The per-endpoint table, endpoint-name order: every endpoint the
+    /// flight recorder has seen, plus any that has only ever been shed
+    /// (it never flew, but its sheds still belong on the books).
+    pub fn endpoint_rows(&self, flight: &FlightRecorder) -> Vec<EndpointRow> {
+        let mut rows: BTreeMap<&'static str, EndpointRow> = flight
+            .endpoints()
+            .into_iter()
+            .map(|e| {
+                let row = EndpointRow {
+                    endpoint: e.endpoint,
+                    errors: e.errors,
+                    shed: 0,
+                    deadline_misses: 0,
+                    hist: e.hist,
+                };
+                (e.endpoint, row)
+            })
+            .collect();
+        for (&endpoint, admission) in self.admission.lock().expect("metrics lock").iter() {
+            let row = rows.entry(endpoint).or_insert_with(|| EndpointRow {
+                endpoint,
+                errors: 0,
+                shed: 0,
+                deadline_misses: 0,
+                hist: LogHistogram::new().snapshot(),
+            });
+            row.shed = admission.shed;
+            row.deadline_misses = admission.deadline_misses;
+        }
+        rows.into_values().collect()
     }
 
     /// Records one completed `explore` sweep: `points` accumulate, the
@@ -170,34 +133,37 @@ impl Metrics {
         self.explore_front_size.store(front_size, Ordering::Relaxed);
     }
 
-    /// Snapshots everything — uptime, per-endpoint counters and latency
-    /// percentiles, the artifact-cache counters, and the analysis-pool
-    /// shape (`analysis_threads` total, of which `analysis_workers` are
-    /// spawned background threads) — as the `metrics` response payload.
+    /// Snapshots everything — uptime, the per-endpoint table `endpoints`
+    /// (from [`Metrics::endpoint_rows`]) with latency percentiles, the
+    /// artifact-cache counters, and the analysis-pool shape
+    /// (`analysis_threads` total, of which `analysis_workers` are spawned
+    /// background threads) — as the `metrics` response payload.
     pub fn snapshot(
         &self,
+        endpoints: &[EndpointRow],
+        flight: &FlightRecorder,
         store: &ArtifactStore,
         analysis_threads: usize,
         analysis_workers: usize,
         admission: &AdmissionSnapshot,
     ) -> Json {
-        let endpoints = self.endpoints.lock().expect("metrics lock");
         let per_endpoint = endpoints
             .iter()
-            .map(|(name, stats)| {
+            .map(|row| {
+                let hist = &row.hist;
                 let json = Json::obj([
-                    ("requests", Json::from(stats.requests)),
-                    ("errors", Json::from(stats.errors)),
-                    ("shed", Json::from(stats.shed)),
-                    ("deadline_misses", Json::from(stats.deadline_misses)),
-                    ("count", Json::from(stats.latency.total)),
-                    ("sum_us", Json::from(stats.latency.sum_us)),
-                    ("max_us", Json::from(stats.latency.max_us)),
-                    ("p50_us", Json::from(stats.latency.quantile_upper_bound(0.50))),
-                    ("p95_us", Json::from(stats.latency.quantile_upper_bound(0.95))),
-                    ("p99_us", Json::from(stats.latency.quantile_upper_bound(0.99))),
+                    ("requests", Json::from(hist.count)),
+                    ("errors", Json::from(row.errors)),
+                    ("shed", Json::from(row.shed)),
+                    ("deadline_misses", Json::from(row.deadline_misses)),
+                    ("count", Json::from(hist.count)),
+                    ("sum_us", Json::from(hist.sum_us)),
+                    ("max_us", Json::from(hist.max_us)),
+                    ("p50_us", Json::from(hist.quantile_upper_bound(0.50))),
+                    ("p95_us", Json::from(hist.quantile_upper_bound(0.95))),
+                    ("p99_us", Json::from(hist.quantile_upper_bound(0.99))),
                 ]);
-                ((*name).to_string(), json)
+                (row.endpoint.to_string(), json)
             })
             .collect();
         let stages = store
@@ -214,7 +180,7 @@ impl Metrics {
             })
             .collect();
         Json::obj([
-            ("uptime_secs", Json::from(self.uptime_secs())),
+            ("uptime_secs", Json::from(flight.uptime_secs())),
             ("endpoints", Json::Obj(per_endpoint)),
             (
                 // The `analyze` stage's counters, kept under the historic
@@ -246,7 +212,7 @@ impl Metrics {
                 Json::obj([
                     ("inflight", Json::from(admission.inflight)),
                     ("max_inflight", Json::from(admission.max_inflight)),
-                    ("shed_total", Json::from(admission.shed_total)),
+                    ("shed_total", Json::from(shed_total(endpoints))),
                     ("open_connections", Json::from(admission.open_connections)),
                     ("event_threads", Json::from(admission.event_threads)),
                 ]),
@@ -268,8 +234,8 @@ impl Metrics {
     /// Renders everything in the Prometheus text exposition format (the
     /// `metrics_prom` response payload): the same data as [`snapshot`]
     /// plus the analysis pool's activity gauges and the flight recorder's
-    /// inflight gauge, record counter, slow-capture counter and per-stage
-    /// attributed wall time.
+    /// record counter, slow-capture counter and per-stage attributed wall
+    /// time.
     ///
     /// The log₂ histograms translate directly: bucket `i` covers
     /// `[2^i, 2^(i+1))` µs, so its inclusive Prometheus bound is
@@ -281,10 +247,10 @@ impl Metrics {
     /// [`snapshot`]: Metrics::snapshot
     pub fn prometheus(
         &self,
+        endpoints: &[EndpointRow],
+        flight: &FlightRecorder,
         store: &ArtifactStore,
         pool: &rtpar::PoolStats,
-        flight: &rtobs::flight::FlightRecorder,
-        slow_captures: u64,
         admission: &AdmissionSnapshot,
     ) -> String {
         use std::fmt::Write as _;
@@ -294,7 +260,11 @@ impl Metrics {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");
         };
-        gauge("rtserver_uptime_seconds", "Seconds since the server started.", &self.uptime_secs());
+        gauge(
+            "rtserver_uptime_seconds",
+            "Seconds since the server started.",
+            &flight.uptime_secs(),
+        );
         gauge(
             "rtserver_artifact_cache_entries",
             "Memoized analysis artifacts currently cached.",
@@ -387,7 +357,7 @@ impl Metrics {
         counter(
             "rtserver_slow_requests_total",
             "Requests slower than --slow-ms captured into the black box.",
-            slow_captures,
+            flight.slow_total(),
         );
         let peer = store.cluster().map(|c| c.stats()).unwrap_or_default();
         counter(
@@ -457,72 +427,51 @@ impl Metrics {
                 s.entries
             );
         }
-        let endpoints = self.endpoints.lock().expect("metrics lock");
-        let _ = writeln!(out, "# HELP rtserver_requests_total Handled requests per endpoint.");
-        let _ = writeln!(out, "# TYPE rtserver_requests_total counter");
-        for (name, stats) in endpoints.iter() {
-            let name = escape_label_value(name);
-            let _ =
-                writeln!(out, "rtserver_requests_total{{endpoint=\"{name}\"}} {}", stats.requests);
-        }
-        let _ = writeln!(out, "# HELP rtserver_request_errors_total Failed requests per endpoint.");
-        let _ = writeln!(out, "# TYPE rtserver_request_errors_total counter");
-        for (name, stats) in endpoints.iter() {
-            let _ = writeln!(
-                out,
-                "rtserver_request_errors_total{{endpoint=\"{}\"}} {}",
-                escape_label_value(name),
-                stats.errors
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rtserver_shed_total Requests shed by admission control per endpoint."
-        );
-        let _ = writeln!(out, "# TYPE rtserver_shed_total counter");
-        for (name, stats) in endpoints.iter() {
-            let _ = writeln!(
-                out,
-                "rtserver_shed_total{{endpoint=\"{}\"}} {}",
-                escape_label_value(name),
-                stats.shed
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rtserver_deadline_misses_total Requests rejected past their queue-wait deadline per endpoint."
-        );
-        let _ = writeln!(out, "# TYPE rtserver_deadline_misses_total counter");
-        for (name, stats) in endpoints.iter() {
-            let _ = writeln!(
-                out,
-                "rtserver_deadline_misses_total{{endpoint=\"{}\"}} {}",
-                escape_label_value(name),
-                stats.deadline_misses
-            );
+        for (name, help, value) in [
+            (
+                "rtserver_requests_total",
+                "Handled requests per endpoint.",
+                (|r: &EndpointRow| r.hist.count) as fn(&EndpointRow) -> u64,
+            ),
+            ("rtserver_request_errors_total", "Failed requests per endpoint.", |r| r.errors),
+            ("rtserver_shed_total", "Requests shed by admission control per endpoint.", |r| r.shed),
+            (
+                "rtserver_deadline_misses_total",
+                "Requests rejected past their queue-wait deadline per endpoint.",
+                |r| r.deadline_misses,
+            ),
+        ] {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for row in endpoints {
+                let endpoint = escape_label_value(row.endpoint);
+                let _ = writeln!(out, "{name}{{endpoint=\"{endpoint}\"}} {}", value(row));
+            }
         }
         let hist = "rtserver_request_duration_microseconds";
         let _ = writeln!(out, "# HELP {hist} Request latency per endpoint, microseconds.");
         let _ = writeln!(out, "# TYPE {hist} histogram");
-        for (name, stats) in endpoints.iter() {
-            let name = escape_label_value(name);
+        for row in endpoints {
+            let name = escape_label_value(row.endpoint);
             let mut cumulative = 0;
-            for (i, count) in stats.latency.buckets.iter().enumerate() {
+            for (i, count) in row.hist.buckets.iter().enumerate() {
                 cumulative += count;
                 let le = (1u64 << (i + 1)) - 1;
                 let _ =
                     writeln!(out, "{hist}_bucket{{endpoint=\"{name}\",le=\"{le}\"}} {cumulative}");
             }
-            let _ = writeln!(
-                out,
-                "{hist}_bucket{{endpoint=\"{name}\",le=\"+Inf\"}} {}",
-                stats.latency.total
-            );
-            let _ = writeln!(out, "{hist}_sum{{endpoint=\"{name}\"}} {}", stats.latency.sum_us);
-            let _ = writeln!(out, "{hist}_count{{endpoint=\"{name}\"}} {}", stats.latency.total);
+            let count = row.hist.count;
+            let _ = writeln!(out, "{hist}_bucket{{endpoint=\"{name}\",le=\"+Inf\"}} {count}");
+            let _ = writeln!(out, "{hist}_sum{{endpoint=\"{name}\"}} {}", row.hist.sum_us);
+            let _ = writeln!(out, "{hist}_count{{endpoint=\"{name}\"}} {count}");
         }
         out
     }
+}
+
+/// Requests shed since startup: the sum of the per-endpoint counters.
+pub fn shed_total(endpoints: &[EndpointRow]) -> u64 {
+    endpoints.iter().map(|row| row.shed).sum()
 }
 
 /// Escapes a label value for the Prometheus text exposition format:
@@ -670,56 +619,50 @@ fn scan_labels(body: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let mut h = Histogram::default();
-        for micros in [0, 1, 2, 3, 4, 1000, 1_000_000] {
-            h.record(micros);
+    /// A row whose latencies are fed through the flight recorder's
+    /// histogram, so tests can pin exact sums and bucket edges;
+    /// `counters` is `[errors, shed, deadline_misses]`.
+    fn row(endpoint: &'static str, latencies_us: &[u64], counters: [u64; 3]) -> EndpointRow {
+        let hist = LogHistogram::new();
+        for &us in latencies_us {
+            hist.record(us);
         }
-        assert_eq!(h.total, 7);
-        assert_eq!(h.buckets[0], 2, "0 and 1 µs share bucket 0");
-        assert_eq!(h.buckets[1], 2, "2 and 3 µs");
-        assert_eq!(h.buckets[2], 1, "4 µs");
-        assert_eq!(h.buckets[9], 1, "1000 µs in [512, 1024)");
-        assert_eq!(h.buckets[19], 1, "1 s in [2^19, 2^20) µs");
+        let [errors, shed, deadline_misses] = counters;
+        EndpointRow { endpoint, errors, shed, deadline_misses, hist: hist.snapshot() }
     }
 
     #[test]
-    fn quantiles_are_upper_bounds_and_monotone() {
-        let mut h = Histogram::default();
-        assert_eq!(h.quantile_upper_bound(0.5), 0, "empty histogram");
-        for _ in 0..98 {
-            h.record(10); // bucket 3: [8, 16)
-        }
-        h.record(100_000); // bucket 16
-        h.record(100_000);
-        let p50 = h.quantile_upper_bound(0.50);
-        let p95 = h.quantile_upper_bound(0.95);
-        let p99 = h.quantile_upper_bound(0.99);
-        assert_eq!(p50, 15, "the p50 sample is a 10 µs one");
-        assert_eq!(p95, 15);
-        assert!(p99 >= 100_000, "p99 must reach the slow tail, got {p99}");
-        assert!(p50 <= p95 && p95 <= p99);
+    fn endpoint_rows_merge_flight_and_admission_counters() {
+        let metrics = Metrics::default();
+        let flight = FlightRecorder::new(8, None);
+        flight.begin("ping", 0).finish(true);
+        flight.begin("wcrt", 0).finish(false);
+        metrics.record_shed("wcrt");
+        metrics.record_shed("wcrt");
+        metrics.record_shed("sim");
+        metrics.record_deadline_miss("wcrt");
+        let rows = metrics.endpoint_rows(&flight);
+        let names: Vec<&str> = rows.iter().map(|r| r.endpoint).collect();
+        assert_eq!(names, ["ping", "sim", "wcrt"], "a shed-only endpoint still gets a row");
+        let counts: Vec<(u64, u64, u64, u64)> =
+            rows.iter().map(|r| (r.hist.count, r.errors, r.shed, r.deadline_misses)).collect();
+        assert_eq!(counts, [(1, 0, 0, 0), (0, 0, 1, 0), (1, 1, 2, 1)]);
+        assert_eq!(shed_total(&rows), 3);
     }
 
     #[test]
     fn snapshot_shape() {
         let metrics = Metrics::default();
         let store = ArtifactStore::default();
-        metrics.record("wcrt", true, Duration::from_micros(300));
-        metrics.record("wcrt", false, Duration::from_micros(700));
-        metrics.record("ping", true, Duration::from_micros(2));
-        metrics.record_shed("wcrt");
-        metrics.record_shed("wcrt");
-        metrics.record_deadline_miss("wcrt");
+        let flight = FlightRecorder::new(8, None);
+        let rows = [row("ping", &[2], [0, 0, 0]), row("wcrt", &[300, 700], [1, 2, 1])];
         let admission = AdmissionSnapshot {
             inflight: 1,
             max_inflight: 256,
-            shed_total: 2,
             open_connections: 3,
             event_threads: 2,
         };
-        let snap = metrics.snapshot(&store, 4, 3, &admission);
+        let snap = metrics.snapshot(&rows, &flight, &store, 4, 3, &admission);
         let wcrt = snap.get("endpoints").unwrap().get("wcrt").unwrap();
         assert_eq!(wcrt.get("requests").unwrap().as_u64(), Some(2));
         assert_eq!(wcrt.get("errors").unwrap().as_u64(), Some(1));
@@ -746,13 +689,12 @@ mod tests {
         assert_eq!(adm.get("shed_total").unwrap().as_u64(), Some(2));
         assert_eq!(adm.get("open_connections").unwrap().as_u64(), Some(3));
         assert_eq!(adm.get("event_threads").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            metrics.admission_by_endpoint(),
-            vec![("ping".to_string(), 0, 0), ("wcrt".to_string(), 2, 1)]
-        );
+        let ping = snap.get("endpoints").unwrap().get("ping").unwrap();
+        assert_eq!(ping.get("shed").unwrap().as_u64(), Some(0));
+        assert_eq!(ping.get("deadline_misses").unwrap().as_u64(), Some(0));
         metrics.record_explore(64, 5);
         metrics.record_explore(36, 3);
-        let snap = metrics.snapshot(&store, 4, 3, &admission);
+        let snap = metrics.snapshot(&rows, &flight, &store, 4, 3, &admission);
         let explore = snap.get("explore").unwrap();
         assert_eq!(explore.get("points_total").unwrap().as_u64(), Some(100));
         assert_eq!(explore.get("front_size").unwrap().as_u64(), Some(3), "latest sweep wins");
@@ -765,28 +707,25 @@ mod tests {
     fn prometheus_exposition_is_well_formed() {
         let metrics = Metrics::default();
         let store = ArtifactStore::default();
-        metrics.record("wcrt", true, Duration::from_micros(300));
-        metrics.record("wcrt", false, Duration::from_micros(700));
+        let rows = [row("wcrt", &[300, 700], [1, 1, 1])];
         metrics.record_explore(200, 7);
         let pool = rtpar::Pool::new(1);
         pool.install(|| rtpar::par_map_range(4, |i| i));
-        let flight = rtobs::flight::FlightRecorder::new(8);
-        let scope = flight.begin("wcrt", 0, false);
+        // A zero slow threshold captures the one request it records.
+        let flight = FlightRecorder::new(8, Some(0));
+        let scope = flight.begin("wcrt", 0);
         {
             let _span = rtobs::span("crpd");
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         scope.finish(true);
-        metrics.record_shed("wcrt");
-        metrics.record_deadline_miss("wcrt");
         let admission = AdmissionSnapshot {
             inflight: 5,
             max_inflight: 64,
-            shed_total: 1,
             open_connections: 9,
             event_threads: 2,
         };
-        let text = metrics.prometheus(&store, &pool.stats(), &flight, 3, &admission);
+        let text = metrics.prometheus(&rows, &flight, &store, &pool.stats(), &admission);
 
         // Every metric family carries HELP and TYPE lines.
         for family in [
@@ -850,7 +789,7 @@ mod tests {
             last = value;
             bucket_lines += 1;
         }
-        assert_eq!(bucket_lines, super::BUCKETS + 1, "all buckets plus +Inf");
+        assert_eq!(bucket_lines, rtobs::flight::HIST_BUCKETS + 1, "all buckets plus +Inf");
         assert!(
             text.contains(
                 "rtserver_request_duration_microseconds_bucket{endpoint=\"wcrt\",le=\"+Inf\"} 2"
@@ -882,7 +821,7 @@ mod tests {
         assert!(text.contains("rtserver_shed_total{endpoint=\"wcrt\"} 1"), "{text}");
         assert!(text.contains("rtserver_deadline_misses_total{endpoint=\"wcrt\"} 1"), "{text}");
         assert!(text.contains("rtserver_flight_records_total 1"), "{text}");
-        assert!(text.contains("rtserver_slow_requests_total 3"), "{text}");
+        assert!(text.contains("rtserver_slow_requests_total 1"), "{text}");
         // Peer families are always exposed; outside cluster mode the
         // counters sit at zero and the node owns its whole (empty) ring.
         assert!(text.contains("rtserver_peer_fetch_hits_total 0"), "{text}");

@@ -23,12 +23,11 @@
 //! accepting and reading, drains every dispatched request, and `serve`
 //! returns after the request pool finishes any remaining work.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,15 +46,18 @@ use crate::proto::{
 };
 use crate::store::ArtifactStore;
 
-/// State shared by every worker: the artifact cache, the metrics
-/// registry, the analysis pool and the shutdown flag.
+/// State shared by every worker: the artifact cache, the flight
+/// recorder and the metrics view over it, the analysis pool and the
+/// admission gauges.
 #[derive(Debug)]
 pub struct ServerState {
     /// Memoized analysis artifacts.
     pub store: ArtifactStore,
-    /// Request counters and latency histograms.
+    /// Admission and `explore` counters, and the `metrics`/`metrics_prom`
+    /// renderers over the flight recorder.
     pub metrics: Metrics,
-    /// The always-on flight recorder every request flies through.
+    /// The always-on flight recorder every request flies through: the
+    /// one per-request record, slow-request black box included.
     pub flight: FlightRecorder,
     /// The `rtpar` pool intra-request analysis fans out on. Sized by the
     /// same `--threads` knob as the connection [`WorkerPool`], so `serve
@@ -63,14 +65,6 @@ pub struct ServerState {
     /// background workers; every closure runs inline on the connection
     /// worker).
     analysis: rtpar::Pool,
-    /// `--slow-ms`: requests at or above this wall time get their span
-    /// tree captured into the black box. `None` disables capture.
-    slow_ms: Option<u64>,
-    /// The most recent slow-request captures, newest last.
-    black_box: Mutex<VecDeque<FinishedFlight>>,
-    /// Slow requests captured since startup (the black box is bounded;
-    /// this is not).
-    slow_total: AtomicU64,
     /// `--max-inflight`: the admission cap on concurrently dispatched
     /// requests; at or past it, new analysis requests are shed.
     max_inflight: u64,
@@ -79,39 +73,11 @@ pub struct ServerState {
     deadline_ms: Option<u64>,
     /// Requests currently dispatched to the worker pool.
     inflight: AtomicU64,
-    /// Analysis requests shed by admission control since startup.
-    shed_total: AtomicU64,
     /// The reactor's always-on connection counters.
     react_stats: Arc<rtreact::ReactorStats>,
 }
 
-/// How many slow-request span trees the black box retains.
-const BLACK_BOX_CAP: usize = 32;
-
-impl Default for ServerState {
-    fn default() -> Self {
-        ServerState::with_threads(rtpar::default_threads())
-    }
-}
-
 impl ServerState {
-    /// State with an analysis pool of `threads` total threads and default
-    /// flight-recorder settings (512-record ring, no slow capture).
-    pub fn with_threads(threads: usize) -> ServerState {
-        ServerState::with_flight(threads, 512, None)
-    }
-
-    /// State with an analysis pool of `threads` threads, a flight ring of
-    /// `flight_capacity` records, and slow-request capture at `slow_ms`.
-    pub fn with_flight(
-        threads: usize,
-        flight_capacity: usize,
-        slow_ms: Option<u64>,
-    ) -> ServerState {
-        let opts = ServeOptions { threads, flight_capacity, slow_ms, ..ServeOptions::default() };
-        ServerState::with_options(&opts)
-    }
-
     /// State configured from the full `trisc serve` option set, plus a
     /// cluster to route the `analyze` stage through ([`Server::bind`]
     /// builds it from `--cluster`/`--node-id`/`--front`).
@@ -126,29 +92,13 @@ impl ServerState {
         ServerState {
             store,
             metrics: Metrics::default(),
-            flight: FlightRecorder::new(opts.flight_capacity),
+            flight: FlightRecorder::new(opts.flight_capacity, opts.slow_ms),
             analysis: rtpar::Pool::new(opts.threads),
-            slow_ms: opts.slow_ms,
-            black_box: Mutex::new(VecDeque::with_capacity(BLACK_BOX_CAP)),
-            slow_total: AtomicU64::new(0),
             max_inflight: opts.max_inflight,
             deadline_ms: opts.deadline_ms,
             inflight: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
             react_stats: Arc::new(rtreact::ReactorStats::default()),
         }
-    }
-
-    /// State configured from the full `trisc serve` option set, without
-    /// cluster routing (the cluster needs the peers file read first; see
-    /// [`with_options_clustered`](ServerState::with_options_clustered)).
-    pub fn with_options(opts: &ServeOptions) -> ServerState {
-        ServerState::with_options_clustered(opts, None)
-    }
-
-    /// The analysis pool shared by every request.
-    pub fn analysis_pool(&self) -> &rtpar::Pool {
-        &self.analysis
     }
 
     /// The admission gauges as the metrics layer consumes them.
@@ -156,7 +106,6 @@ impl ServerState {
         AdmissionSnapshot {
             inflight: self.inflight.load(Ordering::SeqCst),
             max_inflight: self.max_inflight,
-            shed_total: self.shed_total.load(Ordering::Relaxed),
             open_connections: self.react_stats.connections_open(),
             event_threads: self.react_stats.event_threads() as u64,
         }
@@ -404,9 +353,7 @@ fn try_shed(state: &ServerState, line: &str) -> Option<String> {
     if !request.cmd.is_analysis() {
         return None;
     }
-    let endpoint = request.cmd.endpoint();
-    state.shed_total.fetch_add(1, Ordering::Relaxed);
-    state.metrics.record_shed(endpoint);
+    state.metrics.record_shed(request.cmd.endpoint());
     Some(err_response_coded(
         request.id,
         "overloaded",
@@ -422,18 +369,15 @@ fn try_shed(state: &ServerState, line: &str) -> Option<String> {
 /// request asked the server to shut down. `ready` is the instant the
 /// line was fully framed by the reactor, so `ready.elapsed()` at pickup
 /// is the readiness-to-dispatch queue wait the flight recorder
-/// attributes. Every request — including malformed ones — flies through
-/// the always-on [`FlightRecorder`]; with `--slow-ms` set,
-/// over-threshold requests additionally land their full span tree in
-/// the black box.
+/// attributes. Every request — including malformed ones — is recorded
+/// once, by its frame in the always-on [`FlightRecorder`] (which also
+/// keeps an over-`--slow-ms` request's span tree in its black box).
 fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, bool) {
-    let started = Instant::now();
     let queue_us = ready.elapsed().as_micros() as u64;
     let request = match Request::parse(line) {
         Ok(request) => request,
         Err(error) => {
-            state.flight.begin("invalid", queue_us, false).finish(false);
-            state.metrics.record("invalid", false, started.elapsed());
+            state.flight.begin("invalid", queue_us).finish(false);
             let response = match error.code {
                 Some(code) => err_response_coded(None, code, &error.message),
                 None => err_response(None, &error.message),
@@ -450,9 +394,8 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
     if request.cmd.is_analysis() {
         if let Some(deadline_ms) = request.deadline_ms.or(state.deadline_ms) {
             if queue_us / 1000 >= deadline_ms {
-                state.flight.begin(endpoint, queue_us, false).finish(false);
                 state.metrics.record_deadline_miss(endpoint);
-                state.metrics.record(endpoint, false, started.elapsed());
+                state.flight.begin(endpoint, queue_us).finish(false);
                 return (
                     err_response_coded(
                         id,
@@ -467,7 +410,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             }
         }
     }
-    let scope = state.flight.begin(endpoint, queue_us, state.slow_ms.is_some());
+    let scope = state.flight.begin(endpoint, queue_us);
     let (response, ok, shutdown) = {
         // The whole-request span: the root of a slow request's captured
         // tree, and visible to `--trace-out` recordings too.
@@ -476,6 +419,8 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             Command::Ping => (ok_response(id, "pong"), true, false),
             Command::Metrics => {
                 let snapshot = state.metrics.snapshot(
+                    &state.metrics.endpoint_rows(&state.flight),
+                    &state.flight,
                     &state.store,
                     state.analysis.threads(),
                     state.analysis.background_workers(),
@@ -485,10 +430,10 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             }
             Command::MetricsProm => {
                 let text = state.metrics.prometheus(
+                    &state.metrics.endpoint_rows(&state.flight),
+                    &state.flight,
                     &state.store,
                     &state.analysis.stats(),
-                    &state.flight,
-                    state.slow_total.load(Ordering::Relaxed),
                     &state.admission(),
                 );
                 (ok_response(id, &text), true, false)
@@ -500,8 +445,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
                 (ok_response_with(id, "journal", Json::Arr(rows)), true, false)
             }
             Command::Flight => {
-                let flights = state.black_box.lock().expect("black box poisoned");
-                let rows = flights.iter().map(flight_json).collect();
+                let rows = state.flight.black_box().iter().map(flight_json).collect();
                 (ok_response_with(id, "flights", Json::Arr(rows)), true, false)
             }
             Command::Shutdown => {
@@ -537,18 +481,7 @@ fn handle_request(state: &ServerState, line: &str, ready: Instant) -> (String, b
             },
         }
     };
-    let finished = scope.finish(ok);
-    if let Some(slow_ms) = state.slow_ms {
-        if finished.record.total_us >= slow_ms.saturating_mul(1000) {
-            state.slow_total.fetch_add(1, Ordering::Relaxed);
-            let mut black_box = state.black_box.lock().expect("black box poisoned");
-            if black_box.len() == BLACK_BOX_CAP {
-                black_box.pop_front();
-            }
-            black_box.push_back(finished);
-        }
-    }
-    state.metrics.record(endpoint, ok, started.elapsed());
+    scope.finish(ok);
     (response, shutdown)
 }
 
@@ -686,51 +619,27 @@ fn run_peer_put(state: &ServerState, artifact: &Json) -> Result<bool, String> {
 }
 
 /// The `statusz` payload: liveness, admission gauges, per-endpoint
-/// quantiles (with shed and deadline-miss counters merged in), stage
-/// wall time and stage-cache hit rates, all from always-on collectors.
+/// quantiles (the same rows `metrics` renders), stage wall time and
+/// stage-cache hit rates, all from always-on collectors.
 fn statusz(state: &ServerState) -> Json {
-    let admission_by_endpoint: BTreeMap<String, (u64, u64)> = state
-        .metrics
-        .admission_by_endpoint()
-        .into_iter()
-        .map(|(endpoint, shed, deadline_misses)| (endpoint, (shed, deadline_misses)))
-        .collect();
-    let mut endpoints: BTreeMap<String, Json> = state
-        .flight
-        .endpoints()
-        .into_iter()
-        .map(|e| {
-            let (shed, deadline_misses) =
-                admission_by_endpoint.get(e.endpoint).copied().unwrap_or((0, 0));
+    let rows = state.metrics.endpoint_rows(&state.flight);
+    let endpoints = rows
+        .iter()
+        .map(|row| {
+            let hist = &row.hist;
             let json = Json::obj([
-                ("count", Json::from(e.count)),
-                ("errors", Json::from(e.errors)),
-                ("shed", Json::from(shed)),
-                ("deadline_misses", Json::from(deadline_misses)),
-                ("p50_us", Json::from(e.p50_us)),
-                ("p90_us", Json::from(e.p90_us)),
-                ("p99_us", Json::from(e.p99_us)),
-                ("max_us", Json::from(e.max_us)),
+                ("count", Json::from(hist.count)),
+                ("errors", Json::from(row.errors)),
+                ("shed", Json::from(row.shed)),
+                ("deadline_misses", Json::from(row.deadline_misses)),
+                ("p50_us", Json::from(hist.quantile_upper_bound(0.50))),
+                ("p90_us", Json::from(hist.quantile_upper_bound(0.90))),
+                ("p99_us", Json::from(hist.quantile_upper_bound(0.99))),
+                ("max_us", Json::from(hist.max_us)),
             ]);
-            (e.endpoint.to_string(), json)
+            (row.endpoint.to_string(), json)
         })
         .collect();
-    // An endpoint that has only ever been shed never flew, so it is
-    // absent from the flight recorder; surface it anyway.
-    for (endpoint, (shed, deadline_misses)) in &admission_by_endpoint {
-        endpoints.entry(endpoint.clone()).or_insert_with(|| {
-            Json::obj([
-                ("count", Json::from(0u64)),
-                ("errors", Json::from(0u64)),
-                ("shed", Json::from(*shed)),
-                ("deadline_misses", Json::from(*deadline_misses)),
-                ("p50_us", Json::from(0u64)),
-                ("p90_us", Json::from(0u64)),
-                ("p99_us", Json::from(0u64)),
-                ("max_us", Json::from(0u64)),
-            ])
-        });
-    }
     let stage_ns = state
         .flight
         .stage_totals()
@@ -779,13 +688,13 @@ fn statusz(state: &ServerState) -> Json {
         ("peer", peer),
         ("inflight", Json::from(admission.inflight)),
         ("max_inflight", Json::from(admission.max_inflight)),
-        ("shed_total", Json::from(admission.shed_total)),
+        ("shed_total", Json::from(crate::metrics::shed_total(&rows))),
         ("open_connections", Json::from(admission.open_connections)),
         ("event_threads", Json::from(admission.event_threads)),
         ("records_total", Json::from(state.flight.records_total())),
         ("flight_capacity", Json::from(state.flight.capacity() as u64)),
-        ("slow_ms", state.slow_ms.map_or(Json::Null, Json::from)),
-        ("slow_captures", Json::from(state.slow_total.load(Ordering::Relaxed))),
+        ("slow_ms", state.flight.slow_ms().map_or(Json::Null, Json::from)),
+        ("slow_captures", Json::from(state.flight.slow_total())),
         ("endpoints", Json::Obj(endpoints)),
         ("stage_ns", Json::Obj(stage_ns)),
         ("stage_cache", Json::Obj(stage_cache)),

@@ -79,11 +79,11 @@ pub const DEFAULT_REPLICA_CAPACITY: usize = 256;
 /// single node's.
 #[derive(Debug)]
 pub struct ArtifactStore {
-    programs: StageStore<u128, Program>,
-    analyses: StageStore<AnalysisKey, AnalyzedProgram>,
+    programs: StageStore<u128, Arc<Program>>,
+    analyses: StageStore<AnalysisKey, Arc<AnalyzedProgram>>,
     /// Bounded cache of artifacts owned by *other* nodes; unused (and
     /// empty) outside cluster mode.
-    replicas: StageStore<AnalysisKey, AnalyzedProgram>,
+    replicas: StageStore<AnalysisKey, Arc<AnalyzedProgram>>,
     cells: CrpdCellCache,
     cluster: Option<Arc<crate::cluster::Cluster>>,
 }
@@ -174,6 +174,7 @@ impl ArtifactStore {
         let program = self.program(key, name, source)?;
         self.analyses.get_or_compute(*key, || {
             AnalyzedProgram::analyze(&program, key.geometry, key.model)
+                .map(Arc::new)
                 .map_err(|e| CliError::Analysis(e.to_string()))
         })
     }
@@ -185,7 +186,8 @@ impl ArtifactStore {
         name: &str,
         source: &str,
     ) -> Result<Arc<Program>, CliError> {
-        self.programs.get_or_compute(key.program_hash, || rtcli::assemble_named(name, source))
+        self.programs
+            .get_or_compute(key.program_hash, || rtcli::assemble_named(name, source).map(Arc::new))
     }
 
     /// The replica path for a key this node does not own: fetch from the
@@ -205,7 +207,7 @@ impl ArtifactStore {
         self.replicas.get_or_compute(*key, || {
             let _span = rtobs::span_labeled("peer_fetch", || name.to_string());
             match cluster.fetch(key, name, source) {
-                Ok(artifact) => Ok(artifact),
+                Ok(artifact) => Ok(Arc::new(artifact)),
                 Err(error) => {
                     // Dead or unhelpful peer: compute here (latency, not
                     // correctness, is what the failure costs).
@@ -215,7 +217,7 @@ impl ArtifactStore {
                         AnalyzedProgram::analyze(&program, key.geometry, key.model)
                             .map_err(|e| CliError::Analysis(e.to_string()))?;
                     cluster.offer(key, &artifact);
-                    Ok(artifact)
+                    Ok(Arc::new(artifact))
                 }
             }
         })
@@ -237,7 +239,7 @@ impl ArtifactStore {
     }
 
     /// The bounded cache of artifacts owned by other nodes.
-    pub fn replicas(&self) -> &StageStore<AnalysisKey, AnalyzedProgram> {
+    pub fn replicas(&self) -> &StageStore<AnalysisKey, Arc<AnalyzedProgram>> {
         &self.replicas
     }
 
@@ -257,12 +259,12 @@ impl ArtifactStore {
     }
 
     /// The memoized `assemble` stage.
-    pub fn programs(&self) -> &StageStore<u128, Program> {
+    pub fn programs(&self) -> &StageStore<u128, Arc<Program>> {
         &self.programs
     }
 
     /// The memoized `analyze` stage.
-    pub fn analyses(&self) -> &StageStore<AnalysisKey, AnalyzedProgram> {
+    pub fn analyses(&self) -> &StageStore<AnalysisKey, Arc<AnalyzedProgram>> {
         &self.analyses
     }
 

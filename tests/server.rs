@@ -271,6 +271,101 @@ fn metrics_prom_returns_consistent_prometheus_text() {
     handle.join().expect("clean exit");
 }
 
+/// The three per-endpoint views — the `metrics` JSON, `statusz` and the
+/// `metrics_prom` exposition — render one table built from the flight
+/// recorder, so after mixed traffic (a malformed line, a deadline miss
+/// and two good `wcrt`s) they agree on every endpoint's count, errors,
+/// deadline misses, p50/p99 and histogram `_count`.
+#[test]
+fn metrics_statusz_and_prometheus_agree_per_endpoint() {
+    let opts = rtcli::ServeOptions {
+        host: "127.0.0.1".to_string(),
+        port: 0,
+        threads: 2,
+        ..rtcli::ServeOptions::default()
+    };
+    let handle = Server::spawn(&opts).expect("bind ephemeral port");
+    let addr = handle.addr();
+    let mut late = Json::parse(&request_line(2)).expect("request json");
+    if let Json::Obj(fields) = &mut late {
+        // Any queue wait reaches a zero deadline: always a miss.
+        fields.insert("deadline_ms".to_string(), Json::from(0u64));
+    }
+    let replies = roundtrip(
+        addr,
+        &["{not json".to_string(), late.encode(), request_line(3), request_line(4)],
+    );
+    let oks: Vec<Option<bool>> =
+        replies.iter().map(|r| r.get("ok").and_then(Json::as_bool)).collect();
+    assert_eq!(oks, [Some(false), Some(false), Some(true), Some(true)], "{replies:?}");
+    assert_eq!(replies[1].get("code").and_then(Json::as_str), Some("deadline_exceeded"));
+
+    let replies = roundtrip(
+        addr,
+        &[
+            r#"{"cmd":"metrics"}"#.to_string(),
+            r#"{"cmd":"statusz"}"#.to_string(),
+            r#"{"cmd":"metrics_prom"}"#.to_string(),
+            r#"{"cmd":"shutdown"}"#.to_string(),
+        ],
+    );
+    let metrics = replies[0].get("metrics").and_then(|m| m.get("endpoints")).expect("metrics");
+    let status = replies[1].get("status").and_then(|s| s.get("endpoints")).expect("statusz");
+    let text = replies[2].get("output").and_then(Json::as_str).expect("prometheus text");
+    rtserver::metrics::validate_prometheus(text).expect("conformant exposition");
+    let sample = |series: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(series) && l[series.len()..].starts_with(' '))
+            .unwrap_or_else(|| panic!("no sample `{series}`:\n{text}"));
+        line.rsplit(' ').next().unwrap().parse().expect("integral sample")
+    };
+    // The q-quantile upper bound read off the cumulative buckets, as
+    // `HistSnapshot::quantile_upper_bound` reads it off the histogram.
+    let prom_quantile = |endpoint: &str, q: f64| -> u64 {
+        let prefix =
+            format!(r#"rtserver_request_duration_microseconds_bucket{{endpoint="{endpoint}",le=""#);
+        let count = sample(&format!(
+            r#"rtserver_request_duration_microseconds_count{{endpoint="{endpoint}"}}"#
+        ));
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+        text.lines()
+            .filter_map(|l| l.strip_prefix(&prefix))
+            .filter_map(|l| l.split_once(r#""} "#))
+            .find(|(_, cumulative)| cumulative.parse::<u64>().unwrap() >= rank)
+            .map(|(le, _)| le.parse().expect("finite bound below +Inf"))
+            .expect("rank reached")
+    };
+    let field = |table: &Json, endpoint: &str, key: &str| {
+        table.get(endpoint).and_then(|e| e.get(key)).and_then(Json::as_u64)
+    };
+    for (endpoint, count, errors, deadline_misses) in [("invalid", 1, 1, 0), ("wcrt", 3, 1, 1)] {
+        assert_eq!(field(metrics, endpoint, "requests"), Some(count), "{endpoint}");
+        assert_eq!(field(metrics, endpoint, "count"), Some(count), "{endpoint}");
+        assert_eq!(field(status, endpoint, "count"), Some(count), "{endpoint}");
+        let label = format!(r#"{{endpoint="{endpoint}"}}"#);
+        assert_eq!(sample(&format!("rtserver_requests_total{label}")), count, "{endpoint}");
+        assert_eq!(
+            sample(&format!("rtserver_request_duration_microseconds_count{label}")),
+            count,
+            "{endpoint}"
+        );
+        assert_eq!(field(metrics, endpoint, "errors"), Some(errors), "{endpoint}");
+        assert_eq!(field(status, endpoint, "errors"), Some(errors), "{endpoint}");
+        assert_eq!(sample(&format!("rtserver_request_errors_total{label}")), errors);
+        assert_eq!(field(metrics, endpoint, "deadline_misses"), Some(deadline_misses));
+        assert_eq!(field(status, endpoint, "deadline_misses"), Some(deadline_misses));
+        assert_eq!(sample(&format!("rtserver_deadline_misses_total{label}")), deadline_misses);
+        for (key, q) in [("p50_us", 0.50), ("p99_us", 0.99)] {
+            let from_metrics = field(metrics, endpoint, key).expect("metrics quantile");
+            assert_eq!(field(status, endpoint, key), Some(from_metrics), "{endpoint} {key}");
+            assert_eq!(prom_quantile(endpoint, q), from_metrics, "{endpoint} {key}");
+        }
+    }
+    assert_eq!(replies[3].get("ok").and_then(Json::as_bool), Some(true));
+    handle.join().expect("clean exit");
+}
+
 /// Error paths must degrade per-request, never per-server: a malformed
 /// explore grid, an oversized spec payload and a client that vanishes
 /// mid-stream each produce a typed error (or nothing), while the same
